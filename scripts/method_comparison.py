@@ -12,7 +12,7 @@ from mafia_odds import (
     win_chance_asymptotic,
     win_chance_continuous,
     win_chance_continuous_linearized,
-    win_chance_recurrence,
+    win_chance_rows,
 )
 
 
@@ -22,9 +22,11 @@ def main() -> None:
     args = parser.parse_args()
 
     print("n,m,exact,asymptotic,continuous,linearized,err_asym,err_cont,err_lin")
-    for n in range(1, args.max_n + 1):
-        for m in range(0, n + 1):
-            exact = float(win_chance_recurrence(n, m))
+    for n, dfact, row in win_chance_rows(args.max_n):
+        if n < 1:
+            continue
+        for m, value in enumerate(row):
+            exact = value / dfact
             approx = (
                 win_chance_asymptotic(n, m),
                 win_chance_continuous(n, m),

@@ -13,7 +13,8 @@ import argparse
 from mafia_odds import (
     optimal_mafia_approx,
     optimal_mafia_asymptotic,
-    optimal_mafia_numeric,
+    optimal_mafia_from_row,
+    win_chance_rows,
 )
 
 
@@ -33,8 +34,10 @@ def main() -> None:
 
     print("n,m_opt,approx,diff,asymptotic,asymptotic_diff")
     diffs, asymptotic_diffs = [], []
-    for n in range(args.min_n, args.max_n + 1):
-        numeric = optimal_mafia_numeric(n)
+    for n, dfact, row in win_chance_rows(args.max_n):
+        if n < args.min_n:
+            continue
+        numeric = optimal_mafia_from_row(dfact, row)
         approx = optimal_mafia_approx(n)
         asymptotic = optimal_mafia_asymptotic(n)
         diffs.append(abs(approx - numeric))

@@ -2,7 +2,7 @@
 
 The model: an informed minority of m mafia among n players, one uniformly
 random lynch per day, one mafia kill per night.  The package computes the
-mafia's winning chance exactly (recurrence and closed form) and
+mafia's winning chance exactly (integer recurrence and closed form) and
 asymptotically, evolves the mafia-count distribution in discrete and
 continuous time, and cross-checks everything with a seeded Monte Carlo
 simulator.  The ``mafia-odds`` CLI exposes all of it as CSV/JSON tables.
@@ -11,7 +11,6 @@ simulator.  The ``mafia-odds`` CLI exposes all of it as CSV/JSON tables.
 from .core import (
     BoundaryRule,
     GameState,
-    Rational,
     double_factorial,
     falling_product,
     log_double_factorial,
@@ -19,6 +18,7 @@ from .core import (
 from .evolution import (
     ContinuousDistribution,
     Distribution,
+    discrete_path,
     evolve_discrete,
     integrate_continuous,
     mean_continuous,
@@ -41,10 +41,10 @@ from .montecarlo import (
 )
 from .winchance import (
     MonotonicityReport,
-    WinChanceTable,
     approx_single_parity,
     optimal_mafia_approx,
     optimal_mafia_asymptotic,
+    optimal_mafia_from_row,
     optimal_mafia_numeric,
     parity_ratio,
     verify_monotonicity,
@@ -53,6 +53,7 @@ from .winchance import (
     win_chance_leading_term,
     win_chance_limit,
     win_chance_recurrence,
+    win_chance_rows,
     win_chance_single,
 )
 
@@ -65,12 +66,11 @@ __all__ = [
     "EmpiricalDistribution",
     "GameState",
     "MonotonicityReport",
-    "Rational",
     "SimulationReport",
     "Trajectory",
-    "WinChanceTable",
     "Winner",
     "approx_single_parity",
+    "discrete_path",
     "double_factorial",
     "estimate_distribution",
     "estimate_win_chance",
@@ -82,6 +82,7 @@ __all__ = [
     "mean_discrete",
     "optimal_mafia_approx",
     "optimal_mafia_asymptotic",
+    "optimal_mafia_from_row",
     "optimal_mafia_numeric",
     "parity_ratio",
     "peak_time",
@@ -97,6 +98,7 @@ __all__ = [
     "win_chance_leading_term",
     "win_chance_limit",
     "win_chance_recurrence",
+    "win_chance_rows",
     "win_chance_single",
     "__version__",
 ]

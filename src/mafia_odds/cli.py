@@ -108,9 +108,10 @@ def cmd_table(args: argparse.Namespace) -> str:
         raise _ArgumentError(f"need --max-n >= 1, got {args.max_n}")
     boundary = _boundary(args)
     records = [
-        _exact_record(n, m, winchance.win_chance_recurrence(n, m, boundary))
-        for n in range(1, args.max_n + 1)
-        for m in range(n + 1)
+        _exact_record(n, m, Fraction(value, dfact))
+        for n, dfact, row in winchance.win_chance_rows(args.max_n, boundary)
+        if n >= 1
+        for m, value in enumerate(row)
     ]
     if args.format == "json":
         return _json_text(records)
@@ -148,9 +149,9 @@ def cmd_single_mafia(args: argparse.Namespace) -> str:
 
 
 def _evolve_discrete_records(N: int, M: int, t_max: int):
-    for t in range(t_max + 1):
-        dist = evolution.evolve_discrete(N, M, t)
-        for m, p in enumerate(dist.probs):
+    for t, den, q in evolution.discrete_path(N, M, t_max):
+        for m, x in enumerate(q):
+            p = Fraction(x, den)
             yield {
                 "mode": "discrete",
                 "kind": "p",
@@ -160,7 +161,7 @@ def _evolve_discrete_records(N: int, M: int, t_max: int):
                 "value_num": p.numerator,
                 "value_den": p.denominator,
             }
-        mean = evolution.mean_discrete(N, M, t)
+        mean = Fraction(sum(m * x for m, x in enumerate(q)), den)
         yield {
             "mode": "discrete",
             "kind": "mean",
@@ -233,10 +234,11 @@ def cmd_optimal(args: argparse.Namespace) -> str:
     records = [
         {
             "n": n,
-            "m_opt_numeric": winchance.optimal_mafia_numeric(n),
+            "m_opt_numeric": winchance.optimal_mafia_from_row(dfact, row),
             "m_opt_approx": winchance.optimal_mafia_approx(n),
         }
-        for n in range(2, args.max_n + 1)
+        for n, dfact, row in winchance.win_chance_rows(args.max_n)
+        if n >= 2
     ]
     if args.format == "json":
         return _json_text(records)

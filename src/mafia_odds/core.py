@@ -12,20 +12,15 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 __all__ = [
     "BoundaryRule",
     "GameState",
-    "Rational",
     "double_factorial",
     "falling_product",
     "log_double_factorial",
 ]
-
-# Exact probabilities are plain stdlib rationals: auto-normalized
-# (gcd 1, positive denominator), arbitrary precision.
-Rational = Fraction
 
 _LN2 = math.log(2.0)
 
@@ -63,6 +58,12 @@ class BoundaryRule(enum.Enum):
             return 2 * m > n
         return m > 0 and 2 * m >= n
 
+    def first_win(self, n: int) -> int:
+        """The smallest m >= 1 with ``mafia_wins(n, m)``; every larger m wins too."""
+        if self is BoundaryRule.STRICT_MAJORITY:
+            return n // 2 + 1
+        return max(1, (n + 1) // 2)
+
 
 def double_factorial(k: int) -> int:
     """k!! = k (k-2) (k-4) ... down to 2 or 1; by convention 0!! = (-1)!! = 1.
@@ -95,7 +96,7 @@ def log_double_factorial(k: int) -> float:
     return math.lgamma(2 * j + 2) - j * _LN2 - math.lgamma(j + 1)
 
 
-@cache
+@lru_cache(maxsize=1024)
 def falling_product(N: int, t: int, i: int) -> Fraction:
     """Exact value of ``prod_{j=0}^{t-1} (N - 2j - i) / (N - 2j)``.
 
@@ -103,15 +104,13 @@ def falling_product(N: int, t: int, i: int) -> Fraction:
     (N-2t)!! (N-i)!! / (N!! (N-2t-i)!!): when a factor hits zero the whole
     product is zero (which is how 1/(negative even)!! terms vanish), and when
     factors cross zero for odd ``i`` the product carries the sign, so no
-    extension of !! to negative arguments is ever required.
+    extension of !! to negative arguments is ever required.  Numerator and
+    denominator are integer products; one ``Fraction`` normalises them.
     """
     if N < 0 or t < 0 or i < 0:
         raise ValueError(f"need N, t, i >= 0, got N={N}, t={t}, i={i}")
     if 2 * t > N:
         raise ValueError(f"need 2t <= N, got N={N}, t={t}")
-    value = Fraction(1)
-    for j in range(t):
-        value *= Fraction(N - 2 * j - i, N - 2 * j)
-        if not value:
-            break  # a zero factor zeroes every longer prefix too
-    return value
+    return Fraction(
+        math.prod(range(N - i, N - i - 2 * t, -2)), math.prod(range(N, N - 2 * t, -2))
+    )

@@ -9,13 +9,15 @@ m/alive, giving the exact update
 
 Treating t as continuous turns the update into a linear ODE system whose
 solution is binomial with survival amplitude s(t) = sqrt(1 - 2t/N).  The
-exact path works in rationals; the continuous path in floats, with a
-fixed-step Runge-Kutta integrator as an independent numerical check.
+exact path works in integers over the common denominator N (N-2) ... and
+returns rationals; the continuous path works in floats, with a fixed-step
+Runge-Kutta integrator as an independent numerical check.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from .core import falling_product
 __all__ = [
     "ContinuousDistribution",
     "Distribution",
+    "discrete_path",
     "evolve_discrete",
     "integrate_continuous",
     "mean_continuous",
@@ -72,6 +75,32 @@ def _check_initial(N: int, M: int) -> None:
         raise ValueError(f"need 0 <= M <= N, got N={N}, M={M}")
 
 
+def discrete_path(N: int, M: int, t_max: int) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield (t, D_t, q) for t = 0, 1, ..., t_max with q[m] = D_t p_m(t).
+
+    D_t = N (N-2) ... (N-2t+2) is the product of the populations the lynches
+    have drawn from, so the exact update becomes the integer step
+
+        q[m] <- (alive - m) q[m] + (m+1) q[m+1],    alive = N - 2t,
+
+    and p_m(t) = ``Fraction(q[m], D_t)``.  Each step is O(M), so the whole
+    path costs O(t_max M).  Iteration raises ValueError on reaching the first
+    t outside the validity window 2t <= N - M; a negative t_max yields
+    nothing.
+    """
+    _check_initial(N, M)
+    den, q = 1, [0] * M + [1]
+    for t in range(t_max + 1):
+        if 2 * t > N - M:
+            raise ValueError(f"need 0 <= 2t <= N - M, got N={N}, M={M}, t={t}")
+        if t:
+            alive = N - 2 * (t - 1)
+            den *= alive
+            prev = q + [0]  # p_{M+1} = 0
+            q = [(alive - m) * prev[m] + (m + 1) * prev[m + 1] for m in range(M + 1)]
+        yield t, den, q
+
+
 def evolve_discrete(N: int, M: int, t: int) -> Distribution:
     """Apply t exact update steps starting from the point mass at M.
 
@@ -82,18 +111,9 @@ def evolve_discrete(N: int, M: int, t: int) -> Distribution:
     _check_initial(N, M)
     if t < 0 or 2 * t > N - M:
         raise ValueError(f"need 0 <= 2t <= N - M, got N={N}, M={M}, t={t}")
-    probs = [Fraction(0)] * (M + 1)
-    probs[M] = Fraction(1)
-    for step in range(t):
-        alive = N - 2 * step
-        nxt = []
-        for m in range(M + 1):
-            keep = Fraction(alive - m, alive) * probs[m]
-            if m < M:
-                keep += Fraction(m + 1, alive) * probs[m + 1]
-            nxt.append(keep)
-        probs = nxt
-    return Distribution(N=N, M=M, t=t, probs=tuple(probs))
+    for _, den, q in discrete_path(N, M, t):
+        pass
+    return Distribution(N=N, M=M, t=t, probs=tuple(Fraction(x, den) for x in q))
 
 
 def pm_closed(N: int, M: int, m: int, t: int) -> Fraction:

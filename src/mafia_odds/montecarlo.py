@@ -177,11 +177,19 @@ def _distribution_chunk(
 
 
 def _worker_count(threads: int | None, chunks: int) -> int:
-    """Requested workers, capped by MAFIA_ODDS_THREADS (0 = auto) and chunk count."""
+    """Requested workers, capped by MAFIA_ODDS_THREADS (0 = auto) and chunk count.
+
+    An empty MAFIA_ODDS_THREADS counts as unset; anything but a non-negative
+    integer raises ValueError.
+    """
     auto = os.cpu_count() or 1
     request = auto if threads is None else (auto if threads == 0 else threads)
-    cap_env = os.environ.get("MAFIA_ODDS_THREADS")
-    if cap_env is not None:
+    cap_env = os.environ.get("MAFIA_ODDS_THREADS", "")
+    if cap_env:
+        if not cap_env.isdecimal():
+            raise ValueError(
+                f"MAFIA_ODDS_THREADS must be a non-negative integer, got {cap_env!r}"
+            )
         cap = int(cap_env)
         request = min(request, auto if cap == 0 else cap)
     return max(1, min(request, chunks))

@@ -14,8 +14,10 @@ evaluation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice, zip_longest
 
 from .core import (
     BoundaryRule,
@@ -27,10 +29,10 @@ from .core import (
 
 __all__ = [
     "MonotonicityReport",
-    "WinChanceTable",
     "approx_single_parity",
     "optimal_mafia_approx",
     "optimal_mafia_asymptotic",
+    "optimal_mafia_from_row",
     "optimal_mafia_numeric",
     "parity_ratio",
     "verify_monotonicity",
@@ -39,81 +41,67 @@ __all__ = [
     "win_chance_leading_term",
     "win_chance_limit",
     "win_chance_recurrence",
+    "win_chance_rows",
     "win_chance_single",
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
-class WinChanceTable:
-    """Memo table for the recurrence, filled bottom-up one parity at a time.
+def _ladder(
+    top: int, boundary: BoundaryRule, cap: int | None = None
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield (n, n!!, row) for n = top % 2, top % 2 + 2, ..., top.
 
-    The recurrence only couples (n, .) to (n-2, .), so each parity class is an
-    independent ladder; filling whole rows keeps the table loop-free and
-    recursion-free.  Construction is single-writer; once a row exists its
-    entries never change, so concurrent readers are safe.
+    row[m] = W(n, m) = n!! w(n, m), an integer, because every step of the
+    recurrence divides by the live population only:
+
+        W(n, m) = (n - m) W(n-2, m) + m W(n-2, m-1),
+
+    with W = 0 at m = 0 and W = n!! once the boundary rule gives the mafia
+    the game, which also answers transient states with m > n - 2.  A row
+    stops before its first boundary column (every later column is n!!) and
+    after column ``cap`` if one is given.  Only the previous row is kept.
     """
-
-    def __init__(self, boundary: BoundaryRule = BoundaryRule.STRICT_MAJORITY):
-        self.boundary = boundary
-        self.entries: dict[GameState, Fraction] = {}
-        # highest filled row per parity class
-        self._top = {0: -2, 1: -1}
-
-    def win_chance(self, n: int, m: int) -> Fraction:
-        if n < 0 or m < 0 or m > n:
-            raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-        self.ensure(n)
-        return self.entries[GameState(n, m)]
-
-    def ensure(self, n: int) -> None:
-        """Fill all rows of n's parity up to and including n."""
-        parity = n % 2
-        for row in range(self._top[parity] + 2, n + 1, 2):
-            self._fill_row(row)
-            self._top[parity] = row
-
-    def _fill_row(self, n: int) -> None:
-        rule = self.boundary
-        for m in range(n + 1):
-            if m == 0:
-                value = _ZERO
-            elif rule.mafia_wins(n, m):
-                value = _ONE
-            else:
-                value = Fraction(n - m, n) * self._value(n - 2, m) + Fraction(
-                    m, n
-                ) * self._value(n - 2, m - 1)
-            self.entries[GameState(n, m)] = value
-
-    def _value(self, n: int, m: int) -> Fraction:
-        # The recurrence can step to transient states with m > n (e.g. (0, 1)
-        # from (2, 1)); those are always terminal, so the boundary clauses
-        # both guard and answer them without ever storing an invalid state.
-        if m == 0:
-            return _ZERO
-        if self.boundary.mafia_wins(n, m):
-            return _ONE
-        return self.entries[GameState(n, m)]
+    dfact, row = 1, []
+    for n in range(top % 2, top + 1, 2):
+        stay = row + [dfact]  # W(n-2, m) reads n-2's boundary value past its row
+        dfact *= max(n, 1)  # 0!! = 1
+        last = boundary.first_win(n)
+        if cap is not None:
+            last = min(last, cap + 1)
+        row = [0] + [(n - m) * stay[m] + m * stay[m - 1] for m in range(1, last)]
+        yield n, dfact, row
 
 
-_TABLES: dict[BoundaryRule, WinChanceTable] = {}
+def win_chance_rows(
+    max_n: int, boundary: BoundaryRule = BoundaryRule.STRICT_MAJORITY
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield (n, n!!, row) for n = 0, 1, ..., max_n with row[m] = n!! w(n, m).
 
-
-def _table(boundary: BoundaryRule) -> WinChanceTable:
-    table = _TABLES.get(boundary)
-    if table is None:
-        table = _TABLES.setdefault(boundary, WinChanceTable(boundary))
-    return table
+    Every row is complete, 0 <= m <= n, and holds integers; w(n, m) is
+    ``Fraction(row[m], n!!)``.  Both parity ladders advance together, so
+    the whole sweep fills each of its O(max_n^2) cells once.
+    """
+    if max_n < 0:
+        raise ValueError(f"need max_n >= 0, got max_n={max_n}")
+    parity = max_n % 2
+    evens = _ladder(max_n - parity, boundary)
+    odds = _ladder(max_n - 1 + parity, boundary)
+    for pair in zip_longest(evens, odds):
+        for n, dfact, row in filter(None, pair):
+            yield n, dfact, row + [dfact] * (n + 1 - len(row))
 
 
 def win_chance_recurrence(
     n: int, m: int, boundary: BoundaryRule = BoundaryRule.STRICT_MAJORITY
 ) -> Fraction:
-    """Exact w(n, m) from the memoized recurrence."""
-    return _table(boundary).win_chance(n, m)
+    """Exact w(n, m) from the integer recurrence ladder, columns 0..m only."""
+    if n < 0 or m < 0 or m > n:
+        raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
+    for _, dfact, row in _ladder(n, boundary, cap=m):
+        pass
+    return Fraction(row[m] if m < len(row) else dfact, dfact)
 
 
 def win_chance_single(n: int) -> Fraction:
@@ -261,24 +249,33 @@ def parity_ratio(k: int) -> Fraction:
     return Fraction(even * even, odd * odd * (2 * k + 1))
 
 
+def optimal_mafia_from_row(dfact: int, row: list[int]) -> int:
+    """The m whose w(n, m) = row[m]/n!! is closest to 1/2; ties go to smaller m.
+
+    ``row`` is a row of ``win_chance_rows`` (or of the ladder, cut at its
+    boundary column) and ``dfact`` its n!!; the gaps |2 row[m] - n!!| are
+    compared as integers.
+    """
+    best_m, best_gap = 0, dfact  # |2 w(n, 0) - 1| n!!
+    for m, value in enumerate(chain(islice(row, 1, None), [dfact]), start=1):
+        gap = abs(2 * value - dfact)
+        if gap < best_gap:
+            best_m, best_gap = m, gap
+        # w(n, m) is nondecreasing in m, so once past 1/2 the gap only grows
+        if 2 * value >= dfact:
+            break
+    return best_m
+
+
 def optimal_mafia_numeric(
     n: int, boundary: BoundaryRule = BoundaryRule.STRICT_MAJORITY
 ) -> int:
     """The m in 0..n whose exact w(n, m) is closest to 1/2; ties go to smaller m."""
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    table = _table(boundary)
-    table.ensure(n)
-    best_m = 0
-    best_gap = _HALF  # |w(n, 0) - 1/2|
-    for m in range(1, n + 1):
-        gap = abs(table.win_chance(n, m) - _HALF)
-        if gap < best_gap:
-            best_m, best_gap = m, gap
-        # w(n, m) is nondecreasing in m, so once past 1/2 the gap only grows
-        if table.win_chance(n, m) >= _HALF:
-            break
-    return best_m
+    for _, dfact, row in _ladder(n, boundary):
+        pass
+    return optimal_mafia_from_row(dfact, row)
 
 
 def optimal_mafia_approx(n: int) -> float:
@@ -341,11 +338,15 @@ def verify_monotonicity(
     """
     if n_max < 3:
         raise ValueError(f"need n_max >= 3, got n_max={n_max}")
-    table = _table(boundary)
-    table.ensure(n_max + 2)
-    table.ensure(n_max + 1)
+    rows = [
+        [Fraction(value, dfact) for value in row]
+        for _, dfact, row in win_chance_rows(n_max + 2, boundary)
+    ]
+
+    def w(n: int, m: int) -> Fraction:
+        return rows[n][m]
+
     report = MonotonicityReport(max_n=n_max)
-    w = table.win_chance
     for n in range(2, n_max + 1):
         # the region n - m >= m >= 1 is exactly 1 <= m <= n // 2
         for m in range(1, n // 2 + 1):

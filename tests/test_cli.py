@@ -1,15 +1,20 @@
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from mafia_odds.evolution import evolve_discrete, mean_discrete
 
-def run_cli(*argv):
+
+def run_cli(*argv, env=None):
     return subprocess.run(
         [sys.executable, "-m", "mafia_odds", *argv],
         capture_output=True,
         timeout=120,
+        env=env,
     )
 
 
@@ -126,6 +131,37 @@ class TestEvolveCommand:
         )
         assert proc.returncode == 1
 
+    def test_negative_t_max_prints_only_the_header(self):
+        proc = run_cli(
+            "evolve", "-n", "9", "-m", "2", "--mode", "discrete", "--t-max", "-1"
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == b"mode,kind,t,m,value\n"
+
+    def test_time_beyond_window_names_the_first_invalid_turn(self):
+        # the window is 2t <= N - M = 7, so t = 4 is the first turn outside it
+        proc = run_cli(
+            "evolve", "-n", "9", "-m", "2", "--mode", "discrete", "--t-max", "6"
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.decode().strip() == (
+            "mafia-odds: need 0 <= 2t <= N - M, got N=9, M=2, t=4"
+        )
+
+    def test_discrete_rows_match_the_library(self):
+        proc = run_cli(
+            "evolve", "-n", "12", "-m", "3", "--mode", "discrete", "--format", "json"
+        )
+        rows = json.loads(proc.stdout)
+        for t in range(5):
+            dist = evolve_discrete(12, 3, t)
+            exact = [r for r in rows if r["t"] == t]
+            assert [Fraction(r["value_num"], r["value_den"]) for r in exact] == [
+                *dist.probs,
+                mean_discrete(12, 3, t),
+            ]
+
     def test_continuous_rows_stay_normalized(self):
         proc = run_cli(
             "evolve", "-n", "32", "-m", "4", "--mode", "continuous",
@@ -189,6 +225,15 @@ class TestSimulateCommand:
 
     def test_bad_state_exits_2(self):
         assert run_cli("simulate", "-n", "2", "-m", "3").returncode == 2
+
+    def test_bad_thread_cap_exits_1(self):
+        env = dict(os.environ, MAFIA_ODDS_THREADS="-3")
+        proc = run_cli("simulate", "-n", "9", "-m", "1", "--trials", "10", env=env)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.decode().strip() == (
+            "mafia-odds: MAFIA_ODDS_THREADS must be a non-negative integer, got '-3'"
+        )
 
     def test_bad_seed_exits_2(self):
         proc = run_cli("simulate", "-n", "2", "-m", "1", "--seed", "-5")

@@ -67,6 +67,9 @@ class TestFallingProduct:
         with pytest.raises(ValueError):
             falling_product(4, 1, -1)
 
+    def test_cache_is_bounded(self):
+        assert falling_product.cache_info().maxsize == 1024
+
     def test_negative_value_when_factors_cross_zero(self):
         # (4-3)/4 * (2-3)/2 = -1/8: odd i past the zero factor flips sign
         assert falling_product(4, 2, 3) == Fraction(-1, 8)
@@ -118,6 +121,14 @@ class TestBoundaryRule:
         assert rule.mafia_wins(4, 2)
         assert not rule.mafia_wins(5, 2)
         assert not rule.mafia_wins(0, 0)
+
+    @pytest.mark.parametrize("rule", list(BoundaryRule))
+    def test_first_win_is_the_smallest_winning_mafia(self, rule):
+        for n in range(0, 60):
+            m = rule.first_win(n)
+            assert m >= 1 and rule.mafia_wins(n, m), n
+            assert not any(rule.mafia_wins(n, k) for k in range(1, m)), n
+            assert all(rule.mafia_wins(n, k) for k in range(m, n + 3)), n
 
     def test_cli_facing_values(self):
         assert BoundaryRule("strict") is BoundaryRule.STRICT_MAJORITY

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from mafia_odds.evolution import (
+    discrete_path,
     evolve_discrete,
     integrate_continuous,
     mean_continuous,
@@ -51,6 +53,24 @@ class TestEvolveDiscrete:
             evolve_discrete(0, 0, 0)
         with pytest.raises(ValueError):
             evolve_discrete(4, 5, 0)
+
+    def test_integer_path_equals_stepwise_and_closed_forms(self):
+        N, M = 23, 5
+        path = list(discrete_path(N, M, (N - M) // 2))
+        assert [t for t, _, _ in path] == list(range((N - M) // 2 + 1))
+        for t, den, q in path:
+            assert den == math.prod(range(N, N - 2 * t, -2))
+            assert all(isinstance(x, int) for x in q)
+            probs = tuple(Fraction(x, den) for x in q)
+            assert probs == evolve_discrete(N, M, t).probs
+            assert probs == tuple(pm_closed(N, M, m, t) for m in range(M + 1))
+
+    def test_path_stops_at_the_first_turn_outside_the_window(self):
+        path = discrete_path(9, 2, 6)
+        assert [t for t, _, _ in itertools.islice(path, 4)] == [0, 1, 2, 3]
+        with pytest.raises(ValueError, match="t=4"):
+            next(path)
+        assert list(discrete_path(9, 2, -1)) == []
 
     @given(st.data())
     def test_mass_and_moment_are_exact(self, data):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +119,18 @@ class TestEstimateWinChance:
         assert estimate_win_chance(9, 2, STRICT, 150_000, seed=9) == base
         monkeypatch.setenv("MAFIA_ODDS_THREADS", "0")
         assert estimate_win_chance(9, 2, STRICT, 150_000, seed=9) == base
+
+    def test_empty_thread_cap_counts_as_unset(self, monkeypatch):
+        base = estimate_win_chance(9, 2, STRICT, 150_000, seed=9, threads=1)
+        monkeypatch.setenv("MAFIA_ODDS_THREADS", "")
+        assert estimate_win_chance(9, 2, STRICT, 150_000, seed=9) == base
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "1.5", " "])
+    def test_bad_thread_cap_is_refused_by_name(self, monkeypatch, value):
+        monkeypatch.setenv("MAFIA_ODDS_THREADS", value)
+        message = f"MAFIA_ODDS_THREADS must be a non-negative integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimate_win_chance(9, 2, STRICT, 10, seed=9)
 
     def test_seed_changes_the_sample(self):
         a = estimate_win_chance(9, 1, STRICT, 10**4, seed=1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, strategies as st
 
 from mafia_odds.core import BoundaryRule, double_factorial
 from mafia_odds.winchance import (
-    WinChanceTable,
     approx_single_parity,
     optimal_mafia_approx,
     optimal_mafia_asymptotic,
+    optimal_mafia_from_row,
     optimal_mafia_numeric,
     parity_ratio,
     verify_monotonicity,
@@ -18,6 +19,7 @@ from mafia_odds.winchance import (
     win_chance_leading_term,
     win_chance_limit,
     win_chance_recurrence,
+    win_chance_rows,
     win_chance_single,
 )
 
@@ -75,12 +77,51 @@ class TestRecurrence:
                     n, m, STRICT
                 )
 
-    def test_table_entries_are_reused(self):
-        table = WinChanceTable()
-        table.ensure(10)
-        size = len(table.entries)
-        table.win_chance(8, 3)
-        assert len(table.entries) == size
+
+ORACLE_ROWS = {
+    boundary: list(win_chance_rows(14, boundary)) for boundary in (STRICT, TIES)
+}
+
+
+class TestRows:
+    @pytest.mark.parametrize("boundary", [STRICT, TIES])
+    @given(st.integers(min_value=0, max_value=14))
+    def test_rows_agree_with_game_tree_oracle(self, boundary, n):
+        row_n, dfact, row = ORACLE_ROWS[boundary][n]
+        assert row_n == n and dfact == double_factorial(n)
+        assert [Fraction(value, dfact) for value in row] == [
+            brute_force_win_chance(n, m, boundary) for m in range(n + 1)
+        ]
+
+    def test_rows_agree_with_closed_form(self):
+        for n, dfact, row in win_chance_rows(60):
+            assert [Fraction(value, dfact) for value in row] == [
+                win_chance_closed(n, m) for m in range(n + 1)
+            ], n
+
+    def test_rows_are_complete_and_integer(self):
+        rows = list(win_chance_rows(9, TIES))
+        assert [n for n, _, _ in rows] == list(range(10))
+        for n, dfact, row in rows:
+            assert len(row) == n + 1
+            assert all(isinstance(value, int) for value in row)
+        assert list(win_chance_rows(0)) == [(0, 1, [0])]
+
+    def test_rejects_negative_max_n(self):
+        with pytest.raises(ValueError):
+            list(win_chance_rows(-1))
+
+    def test_deep_single_state_equals_closed_form(self):
+        assert win_chance_recurrence(2000, 200) == win_chance_closed(2000, 200)
+
+    def test_single_state_keeps_only_two_short_rows(self):
+        tracemalloc.start()
+        try:
+            win_chance_recurrence(1000, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestSingleMafia:
@@ -194,8 +235,8 @@ def _limit_error(n, exact):
 
 class TestLimitLaw:
     def test_within_a_hundredth_of_exact_at_1600(self):
-        # the closed form equals the recurrence (criterion 02) and, unlike the
-        # recurrence, does not fill 800 full Fraction rows per parity
+        # the closed form equals the recurrence (criterion 02) and answers
+        # each state without walking the ladder of 800 rows
         for n in (1600, 1601):
             assert _limit_error(n, win_chance_closed) < 0.01, n
 
@@ -273,6 +314,14 @@ class TestOptimalMafia:
                 abs(win_chance_recurrence(n, m) - half) for m in range(n + 1)
             ]
             assert gaps[optimal_mafia_numeric(n)] == min(gaps), n
+
+    @pytest.mark.parametrize("boundary", [STRICT, TIES])
+    def test_row_scan_matches_single_query(self, boundary):
+        for n, dfact, row in win_chance_rows(60, boundary):
+            if n >= 1:
+                assert optimal_mafia_from_row(dfact, row) == optimal_mafia_numeric(
+                    n, boundary
+                ), n
 
     def test_approx_reference_points(self):
         assert math.isclose(optimal_mafia_approx(100), 6.2666, rel_tol=1e-4)
