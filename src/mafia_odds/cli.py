@@ -12,13 +12,15 @@ Output contract (versioned; tests pin it):
 
 Exit codes: 0 success, 1 computation-domain error (e.g. the closed form
 under the tie boundary, or an evolution time outside the validity window),
-2 argument error.
+2 argument error (including a non-finite --t-max and an --output path that
+cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -207,6 +209,8 @@ def cmd_evolve(args: argparse.Namespace) -> str:
         raise _ArgumentError(f"need --players >= 1, got {N}")
     if args.samples_per_unit < 1:
         raise _ArgumentError(f"need --samples-per-unit >= 1, got {args.samples_per_unit}")
+    if args.t_max is not None and not math.isfinite(args.t_max):
+        raise _ArgumentError(f"need a finite --t-max, got {args.t_max}")
     records = []
     if args.mode in ("discrete", "both"):
         # default: sweep the whole validity window
@@ -376,6 +380,11 @@ def main(argv=None) -> int:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            message = f"mafia-odds: cannot write --output {args.output}: {exc.strerror}"
+            print(message, file=sys.stderr)
+            return 2
     return 0

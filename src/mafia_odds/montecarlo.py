@@ -14,19 +14,29 @@ Two layers:
   workers execute the chunks.  A day lynch kills a mafioso when the trial's
   next uniform u satisfies u * alive < m; rounding makes that probability
   differ from m/alive by at most 2^-52, far below any tolerance used here.
+
+Memory and workers.  PCG64 fills row-major, so a chunk is drawn in row
+sub-blocks of at most ``_BLOCK_VALUES`` uniforms that are, bit for bit, the
+rows of one whole-chunk draw: a chunk's memory stays bounded whatever n is.
+A call whose work (trials x draws) is below ``_PARALLEL_MIN_VALUES`` uniforms
+runs in-process, because starting a worker pool costs more than it saves
+there.  numpy is imported on first use, so importing the package (and every
+exact CLI command) does not pay for it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import multiprocessing
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import BoundaryRule, GameState
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -41,6 +51,14 @@ __all__ = [
 
 # trials per vectorized chunk; part of the seeding contract, do not change
 CHUNK_TRIALS = 1 << 16
+
+# uniforms per row sub-block of a chunk (32 MiB of float64): a chunk's memory
+_BLOCK_VALUES = 1 << 22
+# trials x draws below which a call runs its chunks in-process, without a
+# pool: measured on 2 CPUs, a two-worker pool first beats one process at
+# about 8e6 uniforms (serial 117 ms vs pool 132 ms at 6.7e6; 190 vs 126 ms
+# at 1.1e7)
+_PARALLEL_MIN_VALUES = 1 << 23
 
 _MAX_SEED = 1 << 64
 
@@ -126,54 +144,75 @@ def simulate_game(
         states.append(GameState(n, m))
 
 
-def _chunk_uniforms(seed: int, chunk_index: int, rows: int, draws: int) -> np.ndarray:
+def _blocks(seed: int, chunk_index: int, rows: int, draws: int) -> Iterator[np.ndarray]:
+    """Yield chunk ``chunk_index``'s (rows, draws) uniforms as row sub-blocks.
+
+    Each block holds at most ``_BLOCK_VALUES`` values (at least one row) and
+    is a view of one reused buffer, valid until the next block is drawn.
+    """
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    return np.random.Generator(np.random.PCG64(ss)).random((rows, draws))
+    generator = np.random.Generator(np.random.PCG64(ss))
+    step = max(1, _BLOCK_VALUES // draws)
+    buffer = np.empty((min(rows, step), draws))
+    for start in range(0, rows, step):
+        block = buffer[: min(step, rows - start)]
+        generator.random(out=block)
+        yield block
 
 
 def _win_chunk(
     seed: int, chunk_index: int, rows: int, n: int, m: int, boundary: BoundaryRule
 ) -> int:
     """Count mafia wins among one chunk of trials, all states vectorized."""
+    import numpy as np
+
     draws = n // 2 + 1
-    uniforms = _chunk_uniforms(seed, chunk_index, rows, draws)
-    mafia = np.full(rows, m, dtype=np.int64)
-    done = np.zeros(rows, dtype=bool)
-    won = np.zeros(rows, dtype=bool)
     ties = boundary is BoundaryRule.TIES
-    alive = n
-    for day in range(draws):
-        extinct = ~done & (mafia == 0)
-        done |= extinct
-        share = 2 * mafia >= alive if ties else 2 * mafia > alive
-        reached = ~done & share
-        won |= reached
-        done |= reached
-        if done.all():
-            break
-        active = ~done
-        mafia -= active & (uniforms[:, day] * alive < mafia)
-        # post-lynch checks at population alive - 1
-        done |= active & (mafia == 0)
-        share = 2 * mafia >= alive - 1 if ties else 2 * mafia > alive - 1
-        reached = active & ~done & share
-        won |= reached
-        done |= reached
-        alive -= 2
-    assert done.all()
-    return int(won.sum())
+    wins = 0
+    for uniforms in _blocks(seed, chunk_index, rows, draws):
+        mafia = np.full(len(uniforms), m, dtype=np.int64)
+        done = np.zeros(len(uniforms), dtype=bool)
+        won = np.zeros(len(uniforms), dtype=bool)
+        alive = n
+        for day in range(draws):
+            extinct = ~done & (mafia == 0)
+            done |= extinct
+            share = 2 * mafia >= alive if ties else 2 * mafia > alive
+            reached = ~done & share
+            won |= reached
+            done |= reached
+            if done.all():
+                break
+            active = ~done
+            mafia -= active & (uniforms[:, day] * alive < mafia)
+            # post-lynch checks at population alive - 1
+            done |= active & (mafia == 0)
+            share = 2 * mafia >= alive - 1 if ties else 2 * mafia > alive - 1
+            reached = active & ~done & share
+            won |= reached
+            done |= reached
+            alive -= 2
+        assert done.all()
+        wins += int(won.sum())
+    return wins
 
 
 def _distribution_chunk(
     seed: int, chunk_index: int, rows: int, N: int, M: int, t: int
 ) -> np.ndarray:
     """Mafia-count histogram after t turns for one chunk of trials."""
-    uniforms = _chunk_uniforms(seed, chunk_index, rows, max(t, 1))
-    mafia = np.full(rows, M, dtype=np.int64)
-    for step in range(t):
-        alive = N - 2 * step
-        mafia -= uniforms[:, step] * alive < mafia
-    return np.bincount(mafia, minlength=M + 1)
+    import numpy as np
+
+    counts = np.zeros(M + 1, dtype=np.int64)
+    for uniforms in _blocks(seed, chunk_index, rows, max(t, 1)):
+        mafia = np.full(len(uniforms), M, dtype=np.int64)
+        for step in range(t):
+            alive = N - 2 * step
+            mafia -= uniforms[:, step] * alive < mafia
+        counts += np.bincount(mafia, minlength=M + 1)
+    return counts
 
 
 def _worker_count(threads: int | None, chunks: int) -> int:
@@ -203,10 +242,15 @@ def _chunk_layout(trials: int) -> list[tuple[int, int]]:
     return layout
 
 
-def _map_chunks(fn, args_list, threads: int | None):
+def _map_chunks(fn, args_list, threads: int | None, values: int):
+    """Run ``fn`` over the chunks, in a pool only if ``values`` uniforms pay for it."""
     workers = _worker_count(threads, len(args_list))
-    if workers == 1:
+    if workers == 1 or values < _PARALLEL_MIN_VALUES:
         return [fn(*args) for args in args_list]
+    import multiprocessing
+
+    import numpy  # noqa: F401 -- imported once here, forked workers inherit it
+
     with multiprocessing.Pool(workers) as pool:
         return pool.starmap(fn, args_list)
 
@@ -230,7 +274,7 @@ def estimate_win_chance(
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     args = [(seed, j, rows, n, m, boundary) for j, rows in _chunk_layout(trials)]
-    wins = sum(_map_chunks(_win_chunk, args, threads))
+    wins = sum(_map_chunks(_win_chunk, args, threads, trials * (n // 2 + 1)))
     estimate = wins / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
     return SimulationReport(
@@ -266,7 +310,7 @@ def estimate_distribution(
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     args = [(seed, j, rows, N, M, t) for j, rows in _chunk_layout(trials)]
-    counts = sum(_map_chunks(_distribution_chunk, args, threads))
+    counts = sum(_map_chunks(_distribution_chunk, args, threads, trials * max(t, 1)))
     counts = tuple(int(c) for c in counts)
     probs = tuple(c / trials for c in counts)
     return EmpiricalDistribution(

@@ -188,6 +188,18 @@ class TestEvolveCommand:
     def test_rejects_more_mafia_than_players(self):
         assert run_cli("evolve", "-n", "3", "-m", "4").returncode == 2
 
+    @pytest.mark.parametrize("mode", ["discrete", "continuous", "both"])
+    @pytest.mark.parametrize("t_max", ["inf", "nan", "-inf"])
+    def test_non_finite_t_max_exits_2(self, mode, t_max):
+        proc = run_cli(
+            "evolve", "-n", "10", "-m", "2", "--mode", mode, f"--t-max={t_max}"
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode().strip() == (
+            f"mafia-odds: need a finite --t-max, got {t_max}"
+        )
+
 
 class TestOptimalCommand:
     def test_small_table(self):
@@ -247,3 +259,25 @@ class TestOutputFile:
         written = run_cli("table", "--max-n", "6", "--output", str(target))
         assert written.returncode == 0 and written.stdout == b""
         assert target.read_bytes() == streamed.stdout
+
+    @pytest.mark.parametrize(
+        "where,reason",
+        [("missing/table.csv", "No such file or directory"), (".", "Is a directory")],
+    )
+    def test_unwritable_path_exits_2(self, tmp_path, where, reason):
+        target = tmp_path / where
+        proc = run_cli("table", "--max-n", "5", "--output", str(target))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode().strip() == (
+            f"mafia-odds: cannot write --output {target}: {reason}"
+        )
+
+
+def test_exact_commands_do_not_import_numpy():
+    code = "import sys, mafia_odds.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == b"False\n"

@@ -1,13 +1,17 @@
 import math
+import multiprocessing
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mafia_odds import montecarlo
 from mafia_odds.core import BoundaryRule
 from mafia_odds.evolution import evolve_discrete
 from mafia_odds.montecarlo import (
+    CHUNK_TRIALS,
     estimate_distribution,
     estimate_win_chance,
     simulate_game,
@@ -180,3 +184,96 @@ class TestEstimateDistribution:
     def test_rejects_time_outside_window(self):
         with pytest.raises(ValueError):
             estimate_distribution(8, 2, 4, 100, seed=0)
+
+
+class TestSubBlocks:
+    """Row sub-blocks are the rows of one whole-chunk draw, bit for bit."""
+
+    ROWS = 299  # no multiple of the 7, 8 or 10 rows a small block holds
+
+    @staticmethod
+    def _small_blocks(monkeypatch, draws):
+        # 7 rows and 3 spare values per block: splits mid-chunk, ragged end
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 7 * draws + 3)
+
+    @pytest.mark.parametrize("draws", [1, 2, 6, 51])
+    def test_blocks_are_the_rows_of_one_draw(self, monkeypatch, draws):
+        np = pytest.importorskip("numpy")
+        ss = np.random.SeedSequence(entropy=5, spawn_key=(3,))
+        whole = np.random.Generator(np.random.PCG64(ss)).random((self.ROWS, draws))
+        self._small_blocks(monkeypatch, draws)
+        blocks = [b.copy() for b in montecarlo._blocks(5, 3, self.ROWS, draws)]
+        assert max(len(b) for b in blocks) < self.ROWS
+        assert len(blocks[-1]) < len(blocks[0])
+        assert np.array_equal(np.concatenate(blocks), whole)
+
+    @pytest.mark.parametrize("boundary", [STRICT, TIES])
+    def test_win_chunk_ignores_the_block_size(self, monkeypatch, boundary):
+        states = [(n, m) for n in range(0, 12) for m in range(n + 1)]
+        states += [(41, 5), (100, 9), (100, 100)]
+        default = [
+            montecarlo._win_chunk(n, 1, self.ROWS, n, m, boundary) for n, m in states
+        ]
+        for n, m in states:
+            self._small_blocks(monkeypatch, n // 2 + 1)
+            blocked = montecarlo._win_chunk(n, 1, self.ROWS, n, m, boundary)
+            assert blocked == default[states.index((n, m))], (n, m)
+
+    @pytest.mark.parametrize(
+        "N,M,t", [(1, 0, 0), (1, 1, 0), (8, 2, 0), (8, 2, 3), (32, 4, 8), (60, 60, 0)]
+    )
+    def test_distribution_chunk_ignores_the_block_size(self, monkeypatch, N, M, t):
+        default = montecarlo._distribution_chunk(2, 0, self.ROWS, N, M, t)
+        self._small_blocks(monkeypatch, max(t, 1))
+        blocked = montecarlo._distribution_chunk(2, 0, self.ROWS, N, M, t)
+        assert list(blocked) == list(default)
+
+    def test_chunk_memory_is_bounded(self):
+        # one whole-chunk draw at n = 1000 would be 65,536 x 501 float64s, 263 MB
+        tracemalloc.start()
+        try:
+            estimate_win_chance(1000, 15, STRICT, CHUNK_TRIALS, 0, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+def _raise_on_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+class TestWorkerPool:
+    """Small calls stay in-process; a forced fan-out gives the serial report."""
+
+    @pytest.fixture
+    def pool_calls(self, monkeypatch):
+        calls = []
+        real_pool = multiprocessing.Pool
+
+        def counting_pool(*args, **kwargs):
+            calls.append(args)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_PARALLEL_MIN_VALUES", 0)
+        monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+        return calls
+
+    def test_forced_fan_out_matches_serial_win_chance(self, pool_calls):
+        serial = estimate_win_chance(9, 2, STRICT, 150_000, seed=42, threads=1)
+        forked = estimate_win_chance(9, 2, STRICT, 150_000, seed=42, threads=2)
+        assert pool_calls == [(2,)]
+        assert forked == serial
+
+    def test_forced_fan_out_matches_serial_distribution(self, pool_calls):
+        serial = estimate_distribution(16, 3, 4, 100_000, seed=11, threads=1)
+        forked = estimate_distribution(16, 3, 4, 100_000, seed=11, threads=2)
+        assert pool_calls == [(2,)]
+        assert forked == serial
+
+    def test_small_default_call_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "Pool", _raise_on_pool)
+        report = estimate_win_chance(9, 2, STRICT, 150_000, seed=42)
+        assert report == estimate_win_chance(9, 2, STRICT, 150_000, seed=42, threads=1)
+        emp = estimate_distribution(16, 3, 4, 100_000, seed=11)
+        assert sum(emp.counts) == 100_000
