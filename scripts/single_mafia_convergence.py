@@ -10,7 +10,7 @@ story.
 import argparse
 import math
 
-from mafia_odds import approx_single_parity, parity_ratio, win_chance_single
+from mafia_odds import parity_ratio, win_chance_asymptotic, win_chance_single
 
 
 def main() -> None:
@@ -23,7 +23,7 @@ def main() -> None:
     while n <= args.max_n:
         for probe in (n, n + 1):  # one even, one odd rung per ladder step
             exact = float(win_chance_single(probe))
-            approx = approx_single_parity(probe)
+            approx = win_chance_asymptotic(probe, 1)
             parity = float(parity_ratio(probe // 2))
             print(
                 f"{probe:>6}  {exact:>12.6e}  {approx:>12.6e}"

@@ -41,7 +41,6 @@ from .montecarlo import (
 )
 from .winchance import (
     MonotonicityReport,
-    approx_single_parity,
     optimal_mafia_approx,
     optimal_mafia_asymptotic,
     optimal_mafia_from_row,
@@ -69,7 +68,6 @@ __all__ = [
     "SimulationReport",
     "Trajectory",
     "Winner",
-    "approx_single_parity",
     "discrete_path",
     "double_factorial",
     "estimate_distribution",

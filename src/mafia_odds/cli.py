@@ -13,116 +13,106 @@ Output contract (versioned; tests pin it):
 Exit codes: 0 success, 1 computation-domain error (e.g. the closed form
 under the tie boundary, or an evolution time outside the validity window),
 2 argument error (including a non-finite --t-max and an --output path that
-cannot be written).
+cannot be written, which is refused before anything is computed).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import os
 import sys
 from fractions import Fraction
+from operator import itemgetter
 
 from . import evolution, montecarlo, winchance
-from .core import BoundaryRule
+from .core import BoundaryRule, check_state
 
-__all__ = [
-    "cmd_evolve",
-    "cmd_optimal",
-    "cmd_simulate",
-    "cmd_single_mafia",
-    "cmd_table",
-    "cmd_winchance",
-    "main",
-]
+__all__ = ["main"]
 
 
-class _ArgumentError(Exception):
+class _ArgumentError(ValueError):
     """Flag-level problem; maps to exit code 2."""
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
+# the CSV cell of each value type a record holds
+_CELL = {type(None): lambda _: "", float: "{:.12g}".format, int: str, str: str}
 
 
-def _csv(header: str, rows: list[list[str]]) -> str:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
+def _emit(columns: tuple[str, ...], records, fmt: str) -> str:
+    """Render a handler's records: JSON as they are, CSV by ``columns``.
+
+    ``records`` is one dict (winchance, simulate) or a list of dicts.
+    """
+    if fmt == "json":
+        return json.dumps(records, indent=2) + "\n"
+    if isinstance(records, dict):
+        records = [records]
+    lines = [",".join(columns)]
+    for values in map(itemgetter(*columns), records):
+        lines.append(",".join([_CELL[type(v)](v) for v in values]))
     return "\n".join(lines) + "\n"
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _state(args: argparse.Namespace) -> tuple[int, int]:
+    try:
+        check_state(args.players, args.mafia)
+    except ValueError as exc:
+        raise _ArgumentError(exc) from None
+    return args.players, args.mafia
 
 
-def _boundary(args: argparse.Namespace) -> BoundaryRule:
-    return BoundaryRule(args.boundary)
+def _need_max_n(args: argparse.Namespace, low: int) -> None:
+    if args.max_n < low:
+        raise _ArgumentError(f"need --max-n >= {low}, got {args.max_n}")
 
 
-def _check_state_flags(n: int, m: int) -> None:
-    if n < 0 or m < 0 or m > n:
-        raise _ArgumentError(f"need 0 <= m <= n, got --players {n} --mafia {m}")
-
-
-def _exact_record(n: int, m: int, value: Fraction):
+def _w_record(n: int, m: int, value) -> dict:
+    """An exact (Fraction) or approximate (float) w(n, m) as one record."""
+    exact = type(value) is Fraction
     return {
         "n": n,
         "m": m,
-        "w_num": value.numerator,
-        "w_den": value.denominator,
+        "w_num": value.numerator if exact else None,
+        "w_den": value.denominator if exact else None,
         "w_float": float(value),
     }
 
 
-def _float_record(n: int, m: int, value: float):
-    return {"n": n, "m": m, "w_num": None, "w_den": None, "w_float": value}
+_W_COLUMNS = ("n", "m", "w_num", "w_den", "w_float")
+
+# look the solvers up at call time, so a wrapper put on the module
+# attribute (a tracer, a test) sees the call
+_METHODS = {
+    "recurrence": lambda n, m, b: winchance.win_chance_recurrence(n, m, b),
+    "closed": lambda n, m, b: winchance.win_chance_closed(n, m, b),
+    "asymptotic": lambda n, m, b: winchance.win_chance_asymptotic(n, m),
+    "continuous": lambda n, m, b: evolution.win_chance_continuous(n, m),
+}
 
 
-_WINCHANCE_HEADER = "n,m,w_num,w_den,w_float"
+def cmd_winchance(args: argparse.Namespace):
+    n, m = _state(args)
+    value = _METHODS[args.method](n, m, BoundaryRule(args.boundary))
+    return _W_COLUMNS, _w_record(n, m, value)
 
 
-def _winchance_row(record) -> list[str]:
-    num = "" if record["w_num"] is None else str(record["w_num"])
-    den = "" if record["w_den"] is None else str(record["w_den"])
-    return [str(record["n"]), str(record["m"]), num, den, _fmt(record["w_float"])]
-
-
-def cmd_winchance(args: argparse.Namespace) -> str:
-    _check_state_flags(args.players, args.mafia)
-    n, m = args.players, args.mafia
-    boundary = _boundary(args)
-    if args.method == "recurrence":
-        record = _exact_record(n, m, winchance.win_chance_recurrence(n, m, boundary))
-    elif args.method == "closed":
-        record = _exact_record(n, m, winchance.win_chance_closed(n, m, boundary))
-    elif args.method == "asymptotic":
-        record = _float_record(n, m, winchance.win_chance_asymptotic(n, m))
-    else:  # continuous
-        record = _float_record(n, m, evolution.win_chance_continuous(n, m))
-    if args.format == "json":
-        return _json_text(record)
-    return _csv(_WINCHANCE_HEADER, [_winchance_row(record)])
-
-
-def cmd_table(args: argparse.Namespace) -> str:
-    if args.max_n < 1:
-        raise _ArgumentError(f"need --max-n >= 1, got {args.max_n}")
-    boundary = _boundary(args)
+def cmd_table(args: argparse.Namespace):
+    _need_max_n(args, 1)
+    boundary = BoundaryRule(args.boundary)
     records = [
-        _exact_record(n, m, Fraction(value, dfact))
+        _w_record(n, m, Fraction(value, dfact))
         for n, dfact, row in winchance.win_chance_rows(args.max_n, boundary)
         if n >= 1
         for m, value in enumerate(row)
     ]
-    if args.format == "json":
-        return _json_text(records)
-    return _csv(_WINCHANCE_HEADER, [_winchance_row(r) for r in records])
+    return _W_COLUMNS, records
 
 
-def cmd_single_mafia(args: argparse.Namespace) -> str:
-    if args.max_n < 1:
-        raise _ArgumentError(f"need --max-n >= 1, got {args.max_n}")
+def cmd_single_mafia(args: argparse.Namespace):
+    _need_max_n(args, 1)
     records = []
     for n in range(1, args.max_n + 1):
         exact = winchance.win_chance_single(n)
@@ -132,79 +122,47 @@ def cmd_single_mafia(args: argparse.Namespace) -> str:
                 "w_exact_num": exact.numerator,
                 "w_exact_den": exact.denominator,
                 "w_exact_float": float(exact),
-                "approx_parity_aware": winchance.approx_single_parity(n),
+                "approx_parity_aware": winchance.win_chance_asymptotic(n, 1),
             }
         )
-    if args.format == "json":
-        return _json_text(records)
-    rows = [
-        [
-            str(r["n"]),
-            str(r["w_exact_num"]),
-            str(r["w_exact_den"]),
-            _fmt(r["w_exact_float"]),
-            _fmt(r["approx_parity_aware"]),
-        ]
-        for r in records
-    ]
-    return _csv("n,w_exact_num,w_exact_den,w_exact_float,approx_parity_aware", rows)
+    return tuple(records[0]), records
+
+
+def _evolve_record(mode: str, kind: str, t, m, value) -> dict:
+    exact = type(value) is Fraction
+    return {
+        "mode": mode,
+        "kind": kind,
+        "t": t,
+        "m": m,
+        "value": float(value),
+        "value_num": value.numerator if exact else None,
+        "value_den": value.denominator if exact else None,
+    }
 
 
 def _evolve_discrete_records(N: int, M: int, t_max: int):
     for t, den, q in evolution.discrete_path(N, M, t_max):
         for m, x in enumerate(q):
-            p = Fraction(x, den)
-            yield {
-                "mode": "discrete",
-                "kind": "p",
-                "t": t,
-                "m": m,
-                "value": float(p),
-                "value_num": p.numerator,
-                "value_den": p.denominator,
-            }
+            yield _evolve_record("discrete", "p", t, m, Fraction(x, den))
         mean = Fraction(sum(m * x for m, x in enumerate(q)), den)
-        yield {
-            "mode": "discrete",
-            "kind": "mean",
-            "t": t,
-            "m": None,
-            "value": float(mean),
-            "value_num": mean.numerator,
-            "value_den": mean.denominator,
-        }
+        yield _evolve_record("discrete", "mean", t, None, mean)
 
 
 def _evolve_continuous_records(N: int, M: int, t_max: float, clamp: bool, spu: int):
-    count = int(t_max * spu)
-    for j in range(count + 1):
+    for j in range(int(t_max * spu) + 1):
         t = j / spu
         if clamp:
             t = min(t, N / 2)
         for m in range(M + 1):
-            yield {
-                "mode": "continuous",
-                "kind": "p",
-                "t": t,
-                "m": m,
-                "value": evolution.pm_continuous(N, M, m, t),
-                "value_num": None,
-                "value_den": None,
-            }
-        yield {
-            "mode": "continuous",
-            "kind": "mean",
-            "t": t,
-            "m": None,
-            "value": evolution.mean_continuous(N, M, t),
-            "value_num": None,
-            "value_den": None,
-        }
+            p = evolution.pm_continuous(N, M, m, t)
+            yield _evolve_record("continuous", "p", t, m, p)
+        mean = evolution.mean_continuous(N, M, t)
+        yield _evolve_record("continuous", "mean", t, None, mean)
 
 
-def cmd_evolve(args: argparse.Namespace) -> str:
-    N, M = args.players, args.mafia
-    _check_state_flags(N, M)
+def cmd_evolve(args: argparse.Namespace):
+    N, M = _state(args)
     if N < 1:
         raise _ArgumentError(f"need --players >= 1, got {N}")
     if args.samples_per_unit < 1:
@@ -222,19 +180,11 @@ def cmd_evolve(args: argparse.Namespace) -> str:
         records.extend(
             _evolve_continuous_records(N, M, t_max, clamp, args.samples_per_unit)
         )
-    if args.format == "json":
-        return _json_text(records)
-    rows = []
-    for r in records:
-        t_text = str(r["t"]) if isinstance(r["t"], int) else _fmt(r["t"])
-        m_text = "" if r["m"] is None else str(r["m"])
-        rows.append([r["mode"], r["kind"], t_text, m_text, _fmt(r["value"])])
-    return _csv("mode,kind,t,m,value", rows)
+    return ("mode", "kind", "t", "m", "value"), records
 
 
-def cmd_optimal(args: argparse.Namespace) -> str:
-    if args.max_n < 2:
-        raise _ArgumentError(f"need --max-n >= 2, got {args.max_n}")
+def cmd_optimal(args: argparse.Namespace):
+    _need_max_n(args, 2)
     records = [
         {
             "n": n,
@@ -244,45 +194,20 @@ def cmd_optimal(args: argparse.Namespace) -> str:
         for n, dfact, row in winchance.win_chance_rows(args.max_n)
         if n >= 2
     ]
-    if args.format == "json":
-        return _json_text(records)
-    rows = [
-        [str(r["n"]), str(r["m_opt_numeric"]), _fmt(r["m_opt_approx"])]
-        for r in records
-    ]
-    return _csv("n,m_opt_numeric,m_opt_approx", rows)
+    return ("n", "m_opt_numeric", "m_opt_approx"), records
 
 
-def cmd_simulate(args: argparse.Namespace) -> str:
-    _check_state_flags(args.players, args.mafia)
+def cmd_simulate(args: argparse.Namespace):
+    n, m = _state(args)
     if args.trials < 1:
         raise _ArgumentError(f"need --trials >= 1, got {args.trials}")
     if not 0 <= args.seed < 1 << 64:
         raise _ArgumentError(f"--seed must be a 64-bit value, got {args.seed}")
     report = montecarlo.estimate_win_chance(
-        args.players, args.mafia, _boundary(args), args.trials, args.seed
+        n, m, BoundaryRule(args.boundary), args.trials, args.seed
     )
-    record = {
-        "n": report.n,
-        "m": report.m,
-        "trials": report.trials,
-        "seed": report.seed,
-        "mafia_wins": report.mafia_wins,
-        "estimate": report.estimate,
-        "std_error": report.std_error,
-    }
-    if args.format == "json":
-        return _json_text(record)
-    row = [
-        str(record["n"]),
-        str(record["m"]),
-        str(record["trials"]),
-        str(record["seed"]),
-        str(record["mafia_wins"]),
-        _fmt(record["estimate"]),
-        _fmt(record["std_error"]),
-    ]
-    return _csv("n,m,trials,seed,mafia_wins,estimate,std_error", [row])
+    record = dataclasses.asdict(report)
+    return tuple(record), record
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
@@ -305,11 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("winchance", help="mafia winning-chance for one starting state")
     p.add_argument("-n", "--players", type=int, required=True)
     p.add_argument("-m", "--mafia", type=int, required=True)
-    p.add_argument(
-        "--method",
-        choices=("recurrence", "closed", "asymptotic", "continuous"),
-        default="recurrence",
-    )
+    p.add_argument("--method", choices=tuple(_METHODS), default="recurrence")
     _add_boundary_flag(p)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_winchance)
@@ -367,24 +288,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str, code: int) -> int:
+    print(f"mafia-odds: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        text = args.handler(args)
-    except _ArgumentError as exc:
-        print(f"mafia-odds: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"mafia-odds: {exc}", file=sys.stderr)
-        return 1
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
+    path = args.output
+    created = path is not None and not os.path.exists(path)
+    if path is not None:
+        # refuse an unwritable path before computing anything; appending
+        # opens it for writing without touching an existing file's bytes
         try:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            open(path, "a").close()
         except OSError as exc:
-            message = f"mafia-odds: cannot write --output {args.output}: {exc.strerror}"
-            print(message, file=sys.stderr)
-            return 2
+            return _fail(f"cannot write --output {path}: {exc.strerror}", 2)
+    try:
+        text = _emit(*args.handler(args), args.format)
+    except ValueError as exc:
+        if created:
+            os.remove(path)
+        return _fail(str(exc), 2 if isinstance(exc, _ArgumentError) else 1)
+    if path is None:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _fail(f"cannot write --output {path}: {exc.strerror}", 2)
     return 0

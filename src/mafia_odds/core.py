@@ -17,12 +17,35 @@ from functools import lru_cache
 __all__ = [
     "BoundaryRule",
     "GameState",
+    "check_approx_state",
+    "check_state",
+    "check_window",
     "double_factorial",
     "falling_product",
     "log_double_factorial",
 ]
 
 _LN2 = math.log(2.0)
+
+
+def check_state(n: int, m: int) -> None:
+    """Refuse a population outside 0 <= m <= n: n players, m of them mafia."""
+    if not 0 <= m <= n:
+        raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
+
+
+def check_approx_state(n: int, m: int) -> None:
+    """Refuse n < 1 or m < 0 in the float approximations, which allow m > n."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
+    if m < 0:
+        raise ValueError(f"need m >= 0, got m={m}")
+
+
+def check_window(N: int, M: int, t: int) -> None:
+    """Refuse a turn t outside the validity window 0 <= 2t <= N - M."""
+    if not 0 <= 2 * t <= N - M:
+        raise ValueError(f"need 0 <= 2t <= N - M, got N={N}, M={M}, t={t}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,8 +56,7 @@ class GameState:
     m: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.m <= self.n):
-            raise ValueError(f"need 0 <= m <= n, got n={self.n}, m={self.m}")
+        check_state(self.n, self.m)
 
     @property
     def citizens(self) -> int:

@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import falling_product
+from .core import check_approx_state, check_state, check_window, falling_product
 
 __all__ = [
     "ContinuousDistribution",
@@ -71,8 +71,7 @@ class ContinuousDistribution:
 def _check_initial(N: int, M: int) -> None:
     if N < 1:
         raise ValueError(f"need N >= 1, got N={N}")
-    if not (0 <= M <= N):
-        raise ValueError(f"need 0 <= M <= N, got N={N}, M={M}")
+    check_state(N, M)
 
 
 def discrete_path(N: int, M: int, t_max: int) -> Iterator[tuple[int, int, list[int]]]:
@@ -91,8 +90,7 @@ def discrete_path(N: int, M: int, t_max: int) -> Iterator[tuple[int, int, list[i
     _check_initial(N, M)
     den, q = 1, [0] * M + [1]
     for t in range(t_max + 1):
-        if 2 * t > N - M:
-            raise ValueError(f"need 0 <= 2t <= N - M, got N={N}, M={M}, t={t}")
+        check_window(N, M, t)
         if t:
             alive = N - 2 * (t - 1)
             den *= alive
@@ -109,8 +107,7 @@ def evolve_discrete(N: int, M: int, t: int) -> Distribution:
     coefficients stop describing a real game and the call is refused.
     """
     _check_initial(N, M)
-    if t < 0 or 2 * t > N - M:
-        raise ValueError(f"need 0 <= 2t <= N - M, got N={N}, M={M}, t={t}")
+    check_window(N, M, t)
     for _, den, q in discrete_path(N, M, t):
         pass
     return Distribution(N=N, M=M, t=t, probs=tuple(Fraction(x, den) for x in q))
@@ -140,8 +137,7 @@ def pm_closed(N: int, M: int, m: int, t: int) -> Fraction:
 def mean_discrete(N: int, M: int, t: int) -> Fraction:
     """Exact mean mafia count after t turns: M prod_{i<t} (N-2i-1)/(N-2i)."""
     _check_initial(N, M)
-    if t < 0 or N - 2 * t - M < 0:
-        raise ValueError(f"need 0 <= 2t <= N - M, got N={N}, M={M}, t={t}")
+    check_window(N, M, t)
     value = Fraction(M)
     for i in range(t):
         value *= Fraction(N - 2 * i - 1, N - 2 * i)
@@ -247,19 +243,13 @@ def win_chance_continuous(n: int, m: int) -> float:
     coarse for small n (it says 1/2 where the exact answer for one mafioso in
     four players is 3/8) but has the right large-n shape.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    if m < 0:
-        raise ValueError(f"need m >= 0, got m={m}")
+    check_approx_state(n, m)
     return 1.0 - (1.0 - 1.0 / math.sqrt(n)) ** m
 
 
 def win_chance_continuous_linearized(n: int, m: int) -> float:
     """First-order version of ``win_chance_continuous``: simply m/sqrt(n)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    if m < 0:
-        raise ValueError(f"need m >= 0, got m={m}")
+    check_approx_state(n, m)
     return m / math.sqrt(n)
 
 
@@ -271,6 +261,5 @@ def win_chance_from_evolution(n: int, m: int) -> Fraction:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
+    check_state(n, m)
     return 1 - pm_closed(n, m, 0, n // 2)

@@ -33,7 +33,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import BoundaryRule, GameState
+from .core import BoundaryRule, GameState, check_state, check_window
 
 if TYPE_CHECKING:
     import numpy as np
@@ -105,11 +105,6 @@ class EmpiricalDistribution:
     probs: tuple[float, ...]
 
 
-def _check_state(n: int, m: int) -> None:
-    if n < 0 or m < 0 or m > n:
-        raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-
-
 def _check_seed(seed: int) -> None:
     if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be a 64-bit value, got {seed}")
@@ -125,7 +120,7 @@ def simulate_game(
     boundary rule's winning share before night), in which case the final
     recorded state reflects only that one elimination.
     """
-    _check_state(n, m)
+    check_state(n, m)
     states = [GameState(n, m)]
     while True:
         if m == 0:
@@ -269,7 +264,7 @@ def estimate_win_chance(
     chunked stream construction in the module docstring makes the outcome
     independent of ``threads`` and of the MAFIA_ODDS_THREADS cap.
     """
-    _check_state(n, m)
+    check_state(n, m)
     _check_seed(seed)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -302,10 +297,10 @@ def estimate_distribution(
     citizens, so the t lynch draws are performed unconditionally; a trial
     whose mafia is already extinct just keeps m = 0.
     """
-    if N < 1 or not 0 <= M <= N:
-        raise ValueError(f"need 1 <= N and 0 <= M <= N, got N={N}, M={M}")
-    if t < 0 or 2 * t > N - M:
-        raise ValueError(f"need 0 <= 2t <= N - M, got N={N}, M={M}, t={t}")
+    if N < 1:
+        raise ValueError(f"need N >= 1, got N={N}")
+    check_state(N, M)
+    check_window(N, M, t)
     _check_seed(seed)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")

@@ -22,6 +22,8 @@ from itertools import chain, islice, zip_longest
 from .core import (
     BoundaryRule,
     GameState,
+    check_approx_state,
+    check_state,
     double_factorial,
     falling_product,
     log_double_factorial,
@@ -29,7 +31,6 @@ from .core import (
 
 __all__ = [
     "MonotonicityReport",
-    "approx_single_parity",
     "optimal_mafia_approx",
     "optimal_mafia_asymptotic",
     "optimal_mafia_from_row",
@@ -44,8 +45,6 @@ __all__ = [
     "win_chance_rows",
     "win_chance_single",
 ]
-
-_ZERO = Fraction(0)
 
 
 def _ladder(
@@ -97,8 +96,7 @@ def win_chance_recurrence(
     n: int, m: int, boundary: BoundaryRule = BoundaryRule.STRICT_MAJORITY
 ) -> Fraction:
     """Exact w(n, m) from the integer recurrence ladder, columns 0..m only."""
-    if n < 0 or m < 0 or m > n:
-        raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
+    check_state(n, m)
     for _, dfact, row in _ladder(n, boundary, cap=m):
         pass
     return Fraction(row[m] if m < len(row) else dfact, dfact)
@@ -129,10 +127,9 @@ def win_chance_closed(
     """
     if boundary is not BoundaryRule.STRICT_MAJORITY:
         raise ValueError("closed form is only derived for the strict-majority boundary")
-    if n < 0 or m < 0 or m > n:
-        raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
+    check_state(n, m)
     t_end = n // 2
-    total = _ZERO
+    total = Fraction(0)
     for i in range(m + 1):
         term = math.comb(m, i) * falling_product(n, t_end, i)
         total += -term if i % 2 else term
@@ -144,10 +141,7 @@ def win_chance_leading_term(n: int, m: int) -> float:
 
     Computed in log space so n in the millions costs the same as n = 10.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    if m < 0:
-        raise ValueError(f"need m >= 0, got m={m}")
+    check_approx_state(n, m)
     return m * math.exp(log_double_factorial(n - 1) - log_double_factorial(n))
 
 
@@ -160,10 +154,7 @@ def win_chance_asymptotic(n: int, m: int) -> float:
     ``win_chance_limit`` is the large-n law there, and its slope at
     m/sqrt(n) -> 0 is exactly this function.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    if m < 0:
-        raise ValueError(f"need m >= 0, got m={m}")
+    check_approx_state(n, m)
     return (math.pi / 2) ** ((n % 2) - 0.5) * m / math.sqrt(n)
 
 
@@ -207,10 +198,7 @@ def win_chance_limit(n: int, m: float) -> float:
     law.  The error against the exact w is O(1/sqrt(n)): about 0.015 at
     n = 400 and 0.0075 at n = 1600 over m <= 2 sqrt(n).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    if m < 0:
-        raise ValueError(f"need m >= 0, got m={m}")
+    check_approx_state(n, m)
     return _limit_law(m / math.sqrt(n), n % 2 == 1)
 
 
@@ -228,11 +216,6 @@ def _half_root(odd: bool) -> float:
 
 
 _HALF_ROOTS = (_half_root(False), _half_root(True))
-
-
-def approx_single_parity(n: int) -> float:
-    """Single-mafioso approximation; the two parity branches of the n-sweep."""
-    return win_chance_asymptotic(n, 1)
 
 
 def parity_ratio(k: int) -> Fraction:

@@ -1,11 +1,16 @@
+import argparse
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from mafia_odds import cli, winchance
 from mafia_odds.evolution import evolve_discrete, mean_discrete
 
 
@@ -74,6 +79,21 @@ class TestWinchanceCommand:
     def test_tie_boundary_recurrence_works(self):
         proc = run_cli("winchance", "-n", "4", "-m", "2", "--boundary", "ties")
         assert proc.stdout.decode().splitlines()[1] == "4,2,1,1,1"
+
+    def test_methods_call_the_module_attribute(self, monkeypatch, capsys):
+        # a wrapper put on winchance.<solver> (the benchmark's tracer does
+        # this) must see the CLI's call, so the registry looks it up late
+        calls = {}
+        for name in ("win_chance_recurrence", "win_chance_closed"):
+            def counting(*args, _name=name, _original=getattr(winchance, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(winchance, name, counting)
+        for method in ("recurrence", "closed"):
+            assert cli.main(["winchance", "-n", "9", "-m", "1", "--method", method]) == 0
+            assert capsys.readouterr().out.splitlines()[1] == "9,1,128,315,0.406349206349"
+        assert calls == {"win_chance_recurrence": 1, "win_chance_closed": 1}
 
 
 class TestTableCommand:
@@ -273,6 +293,42 @@ class TestOutputFile:
             f"mafia-odds: cannot write --output {target}: {reason}"
         )
 
+    @pytest.mark.parametrize("where", ["missing/table.csv", "."])
+    def test_unwritable_path_is_refused_before_computing(
+        self, tmp_path, monkeypatch, capsys, where
+    ):
+        calls = []
+
+        def kernel(*args):
+            calls.append(args)
+            raise AssertionError("the table was computed")
+
+        monkeypatch.setattr(winchance, "win_chance_rows", kernel)
+        argv = ["table", "--max-n", "5", "--output", str(tmp_path / where)]
+        assert cli.main(argv) == 2
+        assert calls == []
+        assert "cannot write --output" in capsys.readouterr().err
+
+    # past the validity window (exit 1), and a malformed state (exit 2)
+    FAILING = [
+        (["evolve", "-n", "9", "-m", "2", "--mode", "discrete", "--t-max", "6"], 1),
+        (["evolve", "-n", "9", "-m", "12"], 2),
+    ]
+
+    @pytest.mark.parametrize("argv,code", FAILING)
+    def test_failed_command_leaves_no_new_file(self, tmp_path, capsys, argv, code):
+        target = tmp_path / "evolve.csv"
+        assert cli.main([*argv, "--output", str(target)]) == code
+        assert not target.exists()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv,code", FAILING)
+    def test_failed_command_keeps_an_existing_file(self, tmp_path, argv, code):
+        target = tmp_path / "evolve.csv"
+        target.write_bytes(b"earlier output\n")
+        assert cli.main([*argv, "--output", str(target)]) == code
+        assert target.read_bytes() == b"earlier output\n"
+
 
 def test_exact_commands_do_not_import_numpy():
     code = "import sys, mafia_odds.cli; print('numpy' in sys.modules)"
@@ -281,3 +337,78 @@ def test_exact_commands_do_not_import_numpy():
     )
     assert proc.returncode == 0
     assert proc.stdout == b"False\n"
+
+
+# SHA-256 of stdout for every subcommand in both formats, every --method,
+# every evolve --mode and the tie boundary: any changed output byte fails.
+GOLDEN_STDOUT = [
+    ("winchance -n 9 -m 2",
+     "029bdb5fcc78fc1fdd2007a68bb3353bf52d2eaa0f65baff63952359dcb68876"),
+    ("winchance -n 9 -m 2 --format json",
+     "27f048f94d6fbc1d57a3a2a0eb8e672f438ef7bc215ecde1fb2fc62d952e27e8"),
+    ("winchance -n 11 -m 3 --method closed",
+     "15230be37d1b38e7e085869644b8bc94d615c1872895a05b3af4f00338d8fe14"),
+    ("winchance -n 11 -m 3 --method asymptotic",
+     "7c3caf551aef5ee604ade3eff52138fdf303c5aadaacbf1ab080782cd6a36046"),
+    ("winchance -n 11 -m 3 --method continuous --format json",
+     "762310079c663e58ad5daea453d741bff1b6bfb4bcb7804450a573241363955c"),
+    ("winchance -n 10 -m 4 --boundary ties",
+     "8577699833cb95231eb39ede38e445b99ca5e4dbc5a747c9d2b8ec75ca590180"),
+    ("table --max-n 7",
+     "4aec3b5f8f95f525369c3f9fe3268a9a25ce0519c0421dfec77c71164d2ae23c"),
+    ("table --max-n 6 --boundary ties --format json",
+     "5dc3a7aa5087c693eb84a67b109fdc77d7fc15a3fb10f115c987f72bd9721c67"),
+    ("single-mafia --max-n 9",
+     "529c7203968e81f3e34e60ec161c3c5515ad6238527fa5469d3b5bf5678ac2d0"),
+    ("single-mafia --max-n 5 --format json",
+     "39b685c7d5a8b1672b7d793950a1524d99b022c5b23ffd069d4b153b746714ac"),
+    ("evolve -n 9 -m 2 --mode discrete",
+     "32915b167bbdfe47fb9d6da87fbb6fbe94571fb851bb90c366c8df1e6d4e9136"),
+    ("evolve -n 9 -m 2 --mode continuous --samples-per-unit 3",
+     "53b8abf007f4605e7814f2c766fa638169f050e4293ea7885c080003d4a1040a"),
+    ("evolve -n 8 -m 3 --mode both --t-max 2",
+     "81505b1abf3d0de8736de4535c14d756dda35febe9cdbf4237e593a9ca9ab565"),
+    ("evolve -n 7 -m 2 --format json --samples-per-unit 2",
+     "159fec59d66d6f517937f8d92a9b489d113dcb89cf09c2f4938685e6ca4398a4"),
+    ("optimal --max-n 12",
+     "ce9f2c6cb41bfa5a576d7bc38ddd9fd2efc870dc62000bf3648fb4b4a42d3e11"),
+    ("optimal --max-n 8 --format json",
+     "ae3dbe48dc7bc7f865ef9aaa2d74b9a4f39c82d590ef00ae7e8294d44f338726"),
+    ("simulate -n 9 -m 2 --trials 3000 --seed 5",
+     "a12c367dde30fbb4944430d46337eb690c3dacc0ee8ca1765d1402b586b8039c"),
+    ("simulate -n 8 -m 2 --trials 2000 --seed 11 --boundary ties --format json",
+     "ad4685edabced3af015f2655200c1f52bf3eb98df6b18323370d8a921eec0d6a"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT, ids=[a for a, _ in GOLDEN_STDOUT])
+def test_stdout_matches_the_recorded_bytes(argv, digest):
+    proc = run_cli(*argv.split())
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def _readme_command_line() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    return text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_line_matches_the_parser():
+    section = _readme_command_line()
+    documented = {}
+    for flag, choices in re.findall(r"(--[\w-]+) \{([^}]*)\}", section):
+        documented.setdefault(flag, set()).add(tuple(choices.split(",")))
+    (commands,) = [
+        action.choices
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    parsed = {}
+    for sub in commands.values():
+        for action in sub._actions:
+            if action.choices and action.option_strings:
+                parsed.setdefault(action.option_strings[-1], set()).add(
+                    tuple(action.choices)
+                )
+    assert set(re.findall(r"^\| `([\w-]+)` \|", section, re.M)) == set(commands)
+    assert documented == parsed

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from mafia_odds.core import BoundaryRule, double_factorial
 from mafia_odds.winchance import (
-    approx_single_parity,
     optimal_mafia_approx,
     optimal_mafia_asymptotic,
     optimal_mafia_from_row,
@@ -218,8 +217,8 @@ class TestAsymptotics:
         )
 
     def test_single_parity_shortcut(self):
-        assert approx_single_parity(100) == win_chance_asymptotic(100, 1)
-        assert math.isclose(approx_single_parity(2), math.sqrt(2 / math.pi) / math.sqrt(2))
+        assert math.isclose(win_chance_asymptotic(100, 1), math.sqrt(2 / math.pi) / 10)
+        assert math.isclose(win_chance_asymptotic(2, 1), math.sqrt(2 / math.pi) / math.sqrt(2))
 
     def test_rejects_no_players(self):
         with pytest.raises(ValueError):
