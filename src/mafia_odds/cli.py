@@ -8,7 +8,10 @@ Output contract (versioned; tests pin it):
   left empty for float-only methods.
 * JSON: single top-level object (winchance, simulate) or array (the table
   emitters), stable key order, full round-trip floats, exact values as
-  "_num"/"_den" integer fields with null where not applicable.
+  "_num"/"_den" integer fields with null where not applicable.  The bytes
+  are those of ``json.dumps(records, indent=2)``; every record of a command
+  shares one key order, so an array is encoded in one C-encoder call and
+  laid out by one per-record template.
 
 Exit codes: 0 success, 1 computation-domain error (e.g. the closed form
 under the tie boundary, or an evolution time outside the validity window),
@@ -44,10 +47,20 @@ _CELL = {type(None): lambda _: "", float: "{:.12g}".format, int: str, str: str}
 def _emit(columns: tuple[str, ...], records, fmt: str) -> str:
     """Render a handler's records: JSON as they are, CSV by ``columns``.
 
-    ``records`` is one dict (winchance, simulate) or a list of dicts.
+    ``records`` is one dict (winchance, simulate) or a list of non-empty
+    dicts of scalars that share their keys, in one order.
     """
     if fmt == "json":
-        return json.dumps(records, indent=2) + "\n"
+        if isinstance(records, dict) or not records:
+            return json.dumps(records, indent=2) + "\n"
+        # indent=2 would take the pure-Python encoder; the C one encodes the
+        # flat values, and JSON escapes "\n" inside strings, so it splits them
+        values = json.dumps(
+            [v for record in records for v in record.values()], separators=("\n", ":")
+        )[1:-1].split("\n")
+        keys = [json.dumps(key).replace("%", "%%") for key in records[0]]
+        record = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+        return "[\n" + ",\n".join([record] * len(records)) % tuple(values) + "\n]\n"
     if isinstance(records, dict):
         records = [records]
     lines = [",".join(columns)]
@@ -69,16 +82,14 @@ def _need_max_n(args: argparse.Namespace, low: int) -> None:
         raise _ArgumentError(f"need --max-n >= {low}, got {args.max_n}")
 
 
-def _w_record(n: int, m: int, value) -> dict:
-    """An exact (Fraction) or approximate (float) w(n, m) as one record."""
-    exact = type(value) is Fraction
-    return {
-        "n": n,
-        "m": m,
-        "w_num": value.numerator if exact else None,
-        "w_den": value.denominator if exact else None,
-        "w_float": float(value),
-    }
+def _exact(num: int, den: int) -> tuple[int, int, float]:
+    """num/den in lowest terms, and its float (int / int rounds correctly)."""
+    g = math.gcd(num, den)
+    return num // g, den // g, num / den
+
+
+def _w_record(n: int, m: int, num, den, value: float) -> dict:
+    return {"n": n, "m": m, "w_num": num, "w_den": den, "w_float": value}
 
 
 _W_COLUMNS = ("n", "m", "w_num", "w_den", "w_float")
@@ -96,14 +107,16 @@ _METHODS = {
 def cmd_winchance(args: argparse.Namespace):
     n, m = _state(args)
     value = _METHODS[args.method](n, m, BoundaryRule(args.boundary))
-    return _W_COLUMNS, _w_record(n, m, value)
+    if type(value) is Fraction:
+        return _W_COLUMNS, _w_record(n, m, *_exact(value.numerator, value.denominator))
+    return _W_COLUMNS, _w_record(n, m, None, None, float(value))
 
 
 def cmd_table(args: argparse.Namespace):
     _need_max_n(args, 1)
     boundary = BoundaryRule(args.boundary)
     records = [
-        _w_record(n, m, Fraction(value, dfact))
+        _w_record(n, m, *_exact(value, dfact))
         for n, dfact, row in winchance.win_chance_rows(args.max_n, boundary)
         if n >= 1
         for m, value in enumerate(row)
@@ -114,51 +127,52 @@ def cmd_table(args: argparse.Namespace):
 def cmd_single_mafia(args: argparse.Namespace):
     _need_max_n(args, 1)
     records = []
+    below, dfact = 1, 1  # (n-1)!! and n!! at n = 0; w(n, 1) = (n-1)!!/n!!
     for n in range(1, args.max_n + 1):
-        exact = winchance.win_chance_single(n)
+        below, dfact = dfact, n * below
+        num, den, value = _exact(below, dfact)
         records.append(
             {
                 "n": n,
-                "w_exact_num": exact.numerator,
-                "w_exact_den": exact.denominator,
-                "w_exact_float": float(exact),
+                "w_exact_num": num,
+                "w_exact_den": den,
+                "w_exact_float": value,
                 "approx_parity_aware": winchance.win_chance_asymptotic(n, 1),
             }
         )
     return tuple(records[0]), records
 
 
-def _evolve_record(mode: str, kind: str, t, m, value) -> dict:
-    exact = type(value) is Fraction
+def _evolve_record(mode: str, kind: str, t, m, num, den, value: float) -> dict:
     return {
         "mode": mode,
         "kind": kind,
         "t": t,
         "m": m,
-        "value": float(value),
-        "value_num": value.numerator if exact else None,
-        "value_den": value.denominator if exact else None,
+        "value": value,
+        "value_num": num,
+        "value_den": den,
     }
 
 
 def _evolve_discrete_records(N: int, M: int, t_max: int):
     for t, den, q in evolution.discrete_path(N, M, t_max):
         for m, x in enumerate(q):
-            yield _evolve_record("discrete", "p", t, m, Fraction(x, den))
-        mean = Fraction(sum(m * x for m, x in enumerate(q)), den)
-        yield _evolve_record("discrete", "mean", t, None, mean)
+            yield _evolve_record("discrete", "p", t, m, *_exact(x, den))
+        mean = sum(m * x for m, x in enumerate(q))
+        yield _evolve_record("discrete", "mean", t, None, *_exact(mean, den))
 
 
 def _evolve_continuous_records(N: int, M: int, t_max: float, clamp: bool, spu: int):
-    for j in range(int(t_max * spu) + 1):
+    for j in range(math.floor(t_max * spu) + 1):
         t = j / spu
         if clamp:
             t = min(t, N / 2)
         for m in range(M + 1):
             p = evolution.pm_continuous(N, M, m, t)
-            yield _evolve_record("continuous", "p", t, m, p)
+            yield _evolve_record("continuous", "p", t, m, None, None, p)
         mean = evolution.mean_continuous(N, M, t)
-        yield _evolve_record("continuous", "mean", t, None, mean)
+        yield _evolve_record("continuous", "mean", t, None, None, None, mean)
 
 
 def cmd_evolve(args: argparse.Namespace):
@@ -172,7 +186,7 @@ def cmd_evolve(args: argparse.Namespace):
     records = []
     if args.mode in ("discrete", "both"):
         # default: sweep the whole validity window
-        t_max = (N - M) // 2 if args.t_max is None else int(args.t_max)
+        t_max = (N - M) // 2 if args.t_max is None else math.floor(args.t_max)
         records.extend(_evolve_discrete_records(N, M, t_max))
     if args.mode in ("continuous", "both"):
         clamp = args.t_max is None  # guard the defaulted endpoint against float dust

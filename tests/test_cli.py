@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mafia_odds import cli, winchance
 from mafia_odds.evolution import evolve_discrete, mean_discrete
@@ -133,6 +135,18 @@ class TestSingleMafiaCommand:
         assert [r["n"] for r in rows] == [1, 2]
         assert rows[1]["w_exact_num"] == 1 and rows[1]["w_exact_den"] == 2
 
+    def test_rows_match_the_library(self, capsys):
+        assert cli.main(["single-mafia", "--max-n", "300", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["n"] for r in rows] == list(range(1, 301))
+        for r in rows:
+            exact = winchance.win_chance_single(r["n"])
+            assert (r["w_exact_num"], r["w_exact_den"]) == (
+                exact.numerator,
+                exact.denominator,
+            )
+            assert r["w_exact_float"] == float(exact)
+
 
 class TestEvolveCommand:
     def test_discrete_single_step(self):
@@ -157,6 +171,21 @@ class TestEvolveCommand:
         )
         assert proc.returncode == 0
         assert proc.stdout == b"mode,kind,t,m,value\n"
+
+    # --t-max is floored, not truncated toward zero: no turn 0 for t_max < 0
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    @pytest.mark.parametrize("t_max", ["-0.5", "-0.99", "-0.05"])
+    def test_fractional_negative_t_max_prints_only_the_header(
+        self, capsys, mode, t_max
+    ):
+        argv = ["evolve", "-n", "9", "-m", "2", "--mode", mode, f"--t-max={t_max}"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "mode,kind,t,m,value\n"
+
+    def test_negative_t_max_prints_an_empty_json_array(self):
+        proc = run_cli("evolve", "-n", "9", "-m", "2", "--t-max", "-1", "--format", "json")
+        assert proc.returncode == 0
+        assert proc.stdout == b"[]\n"
 
     def test_time_beyond_window_names_the_first_invalid_turn(self):
         # the window is 2t <= N - M = 7, so t = 4 is the first turn outside it
@@ -330,6 +359,40 @@ class TestOutputFile:
         assert target.read_bytes() == b"earlier output\n"
 
 
+# every kind of scalar the encoder tells apart, beyond what the commands
+# print; the characters cover each escape class (quote, backslash, control,
+# non-ASCII, astral as a surrogate pair) and "%", which the template uses
+_JSON_CHARS = 'az09 "\\/\n\t\x00\x7f%s{}:,\u00e9\u2028\U0001f0a1'
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.integers(),
+    st.integers(min_value=-(1 << 3000), max_value=1 << 3000),
+    st.floats(),
+    st.sampled_from([-0.0, 1e-300, math.inf, -math.inf, math.nan]),
+    st.text(_JSON_CHARS),
+)
+
+
+@st.composite
+def _records(draw):
+    keys = draw(st.lists(st.text(_JSON_CHARS), min_size=1, max_size=4, unique=True))
+    values = st.lists(_JSON_VALUES, min_size=len(keys), max_size=len(keys))
+    rows = draw(st.lists(values, min_size=1, max_size=6))
+    return [dict(zip(keys, row)) for row in rows]
+
+
+class TestEmitJson:
+    @given(_records())
+    def test_record_lists_match_the_indented_encoder(self, records):
+        assert cli._emit((), records, "json") == json.dumps(records, indent=2) + "\n"
+
+    def test_a_single_record_and_no_records(self):
+        record = {"n": 9, "w_num": 1 << 3000, "w_float": -0.0, "note": "\u00e9\n"}
+        expected = json.dumps(record, indent=2) + "\n"
+        assert cli._emit(tuple(record), record, "json") == expected
+        assert cli._emit(("n",), [], "json") == "[]\n"
+
+
 def test_exact_commands_do_not_import_numpy():
     code = "import sys, mafia_odds.cli; print('numpy' in sys.modules)"
     proc = subprocess.run(
@@ -378,6 +441,17 @@ GOLDEN_STDOUT = [
      "a12c367dde30fbb4944430d46337eb690c3dacc0ee8ca1765d1402b586b8039c"),
     ("simulate -n 8 -m 2 --trials 2000 --seed 11 --boundary ties --format json",
      "ad4685edabced3af015f2655200c1f52bf3eb98df6b18323370d8a921eec0d6a"),
+    # larger cases, where most exact cells reduce (gcd > 1)
+    ("table --max-n 40",
+     "1932b2e1fe387280d0f0b1fc74c83464165ffc6aedf5fe20463aa882890de57d"),
+    ("table --max-n 40 --format json",
+     "c3a4a963ffc97da9aa4ba3f7d4518489ad9a748cd5bf44709e0d2cfbfdcaece6"),
+    ("table --max-n 30 --boundary ties",
+     "c02f784da8a1b814bfea392a1019d231389802bbe6ba0f744f77e983186362af"),
+    ("single-mafia --max-n 120 --format json",
+     "528563c62d11ee126b5ce5ad67cae4d9de196853caadc1dd09c8e9459504765f"),
+    ("evolve -n 40 -m 5 --mode both --format json",
+     "b9ef649653458bb24a5612cf428cff629e6d69aeb9f4bb5e1a89690e371630a8"),
 ]
 
 
