@@ -84,6 +84,8 @@ def _need_max_n(args: argparse.Namespace, low: int) -> None:
 
 def _exact(num: int, den: int) -> tuple[int, int, float]:
     """num/den in lowest terms, and its float (int / int rounds correctly)."""
+    if num == den:  # the n!! boundary cells padded onto table rows
+        return 1, 1, 1.0
     g = math.gcd(num, den)
     return num // g, den // g, num / den
 

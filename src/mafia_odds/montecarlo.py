@@ -15,6 +15,19 @@ Two layers:
   next uniform u satisfies u * alive < m; rounding makes that probability
   differ from m/alive by at most 2^-52, far below any tolerance used here.
 
+One kernel, no per-trial bookkeeping.  The game is a pure death process: a
+full turn changes 2m - alive by 0 or +2, so once the mafia holds its winning
+share (m > alive/2, or m >= alive/2 under ties) it keeps it, with m >= 1,
+through every later turn; and m = 0 stays 0, since u * alive < 0 never
+holds.  The winner is therefore a function of the final mafia count alone.
+:func:`_mafia_chunk` runs nothing but the lynch step for a fixed number of
+days and returns the histogram of that count: while at least 2 players live
+(strict) or 3 (ties; at (2, 1) the mafia has already won) for
+:func:`estimate_win_chance`, which counts every trial with m > 0 as a mafia
+win, and t days for :func:`estimate_distribution`.  A trial whose game ended
+earlier still has its later uniforms drawn, but they cannot change its
+winner, so every per-trial stream, and the seeding contract, is unchanged.
+
 Memory and workers.  PCG64 fills row-major, so a chunk is drawn in row
 sub-blocks of at most ``_BLOCK_VALUES`` uniforms that are, bit for bit, the
 rows of one whole-chunk draw: a chunk's memory stays bounded whatever n is.
@@ -55,9 +68,10 @@ CHUNK_TRIALS = 1 << 16
 # uniforms per row sub-block of a chunk (32 MiB of float64): a chunk's memory
 _BLOCK_VALUES = 1 << 22
 # trials x draws below which a call runs its chunks in-process, without a
-# pool: measured on 2 CPUs, a two-worker pool first beats one process at
-# about 8e6 uniforms (serial 117 ms vs pool 132 ms at 6.7e6; 190 vs 126 ms
-# at 1.1e7)
+# pool: measured on 2 CPUs with 131,072 trials, one process wins at 6.7e6
+# uniforms (serial 80-88 ms vs pool 92-97 ms) and a two-worker pool at 1.1e7
+# (130-145 vs 94-132 ms); from 8.1e6 to 9.7e6 the winner changes from run to
+# run with the pool's 30-70 ms start-up
 _PARALLEL_MIN_VALUES = 1 << 23
 
 _MAX_SEED = 1 << 64
@@ -157,56 +171,22 @@ def _blocks(seed: int, chunk_index: int, rows: int, draws: int) -> Iterator[np.n
         yield block
 
 
-def _win_chunk(
-    seed: int, chunk_index: int, rows: int, n: int, m: int, boundary: BoundaryRule
-) -> int:
-    """Count mafia wins among one chunk of trials, all states vectorized."""
+def _mafia_chunk(
+    seed: int, chunk_index: int, rows: int, n: int, m: int, days: int, draws: int
+) -> np.ndarray:
+    """Histogram of the mafia count after ``days`` turns, one chunk of trials.
+
+    Trial rows hold ``draws`` uniforms each; day ``day`` reads column ``day``
+    and lynches among the ``n - 2*day`` living players.
+    """
     import numpy as np
 
-    draws = n // 2 + 1
-    ties = boundary is BoundaryRule.TIES
-    wins = 0
+    counts = np.zeros(m + 1, dtype=np.int64)
     for uniforms in _blocks(seed, chunk_index, rows, draws):
         mafia = np.full(len(uniforms), m, dtype=np.int64)
-        done = np.zeros(len(uniforms), dtype=bool)
-        won = np.zeros(len(uniforms), dtype=bool)
-        alive = n
-        for day in range(draws):
-            extinct = ~done & (mafia == 0)
-            done |= extinct
-            share = 2 * mafia >= alive if ties else 2 * mafia > alive
-            reached = ~done & share
-            won |= reached
-            done |= reached
-            if done.all():
-                break
-            active = ~done
-            mafia -= active & (uniforms[:, day] * alive < mafia)
-            # post-lynch checks at population alive - 1
-            done |= active & (mafia == 0)
-            share = 2 * mafia >= alive - 1 if ties else 2 * mafia > alive - 1
-            reached = active & ~done & share
-            won |= reached
-            done |= reached
-            alive -= 2
-        assert done.all()
-        wins += int(won.sum())
-    return wins
-
-
-def _distribution_chunk(
-    seed: int, chunk_index: int, rows: int, N: int, M: int, t: int
-) -> np.ndarray:
-    """Mafia-count histogram after t turns for one chunk of trials."""
-    import numpy as np
-
-    counts = np.zeros(M + 1, dtype=np.int64)
-    for uniforms in _blocks(seed, chunk_index, rows, max(t, 1)):
-        mafia = np.full(len(uniforms), M, dtype=np.int64)
-        for step in range(t):
-            alive = N - 2 * step
-            mafia -= uniforms[:, step] * alive < mafia
-        counts += np.bincount(mafia, minlength=M + 1)
+        for day in range(days):
+            mafia -= uniforms[:, day] * (n - 2 * day) < mafia
+        counts += np.bincount(mafia, minlength=m + 1)
     return counts
 
 
@@ -268,8 +248,13 @@ def estimate_win_chance(
     _check_seed(seed)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    args = [(seed, j, rows, n, m, boundary) for j, rows in _chunk_layout(trials)]
-    wins = sum(_map_chunks(_win_chunk, args, threads, trials * (n // 2 + 1)))
+    # lynch while a lone mafioso has not won yet: at >= 2 players (strict) or
+    # >= 3 (ties); the row width n//2 + 1 is part of the seeding contract
+    days = n // 2 if boundary is BoundaryRule.STRICT_MAJORITY else (n - 1) // 2
+    draws = n // 2 + 1
+    args = [(seed, j, rows, n, m, days, draws) for j, rows in _chunk_layout(trials)]
+    counts = sum(_map_chunks(_mafia_chunk, args, threads, trials * draws))
+    wins = trials - int(counts[0])
     estimate = wins / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
     return SimulationReport(
@@ -304,8 +289,9 @@ def estimate_distribution(
     _check_seed(seed)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    args = [(seed, j, rows, N, M, t) for j, rows in _chunk_layout(trials)]
-    counts = sum(_map_chunks(_distribution_chunk, args, threads, trials * max(t, 1)))
+    draws = max(t, 1)
+    args = [(seed, j, rows, N, M, t, draws) for j, rows in _chunk_layout(trials)]
+    counts = sum(_map_chunks(_mafia_chunk, args, threads, trials * draws))
     counts = tuple(int(c) for c in counts)
     probs = tuple(c / trials for c in counts)
     return EmpiricalDistribution(

@@ -186,6 +186,38 @@ class TestEstimateDistribution:
             estimate_distribution(8, 2, 4, 100, seed=0)
 
 
+class _RowReader:
+    """A ``randrange`` stream that reads one trial's uniforms: u -> int(u * k)."""
+
+    def __init__(self, row):
+        self._next = iter(row).__next__
+
+    def randrange(self, k):
+        return int(self._next() * k)
+
+
+class TestKernelAgainstSimulateGame:
+    """The chunk kernel replays ``simulate_game`` on the chunk's own uniforms.
+
+    For an integer m, floor(u * k) < m exactly when u * k < m, so every trial
+    must have the same winner in both; the chunk's win count is then equal,
+    not just close, to the number of ``simulate_game`` wins on its rows.
+    """
+
+    ROWS, SEED = 64, 7
+
+    @pytest.mark.parametrize("boundary", [STRICT, TIES])
+    def test_every_state_up_to_40_players(self, boundary):
+        for n in range(41):
+            block = next(montecarlo._blocks(self.SEED, 0, self.ROWS, n // 2 + 1))
+            rows = block.tolist()
+            for m in range(n + 1):
+                games = [simulate_game(n, m, boundary, _RowReader(row)) for row in rows]
+                wins = sum(game.winner is Winner.MAFIA for game in games)
+                report = estimate_win_chance(n, m, boundary, self.ROWS, self.SEED)
+                assert report.mafia_wins == wins, (n, m)
+
+
 class TestSubBlocks:
     """Row sub-blocks are the rows of one whole-chunk draw, bit for bit."""
 
@@ -211,21 +243,24 @@ class TestSubBlocks:
     def test_win_chunk_ignores_the_block_size(self, monkeypatch, boundary):
         states = [(n, m) for n in range(0, 12) for m in range(n + 1)]
         states += [(41, 5), (100, 9), (100, 100)]
-        default = [
-            montecarlo._win_chunk(n, 1, self.ROWS, n, m, boundary) for n, m in states
-        ]
+
+        def chunk(n, m):
+            days = n // 2 if boundary is STRICT else (n - 1) // 2
+            counts = montecarlo._mafia_chunk(n, 1, self.ROWS, n, m, days, n // 2 + 1)
+            return list(counts)
+
+        default = [chunk(n, m) for n, m in states]
         for n, m in states:
             self._small_blocks(monkeypatch, n // 2 + 1)
-            blocked = montecarlo._win_chunk(n, 1, self.ROWS, n, m, boundary)
-            assert blocked == default[states.index((n, m))], (n, m)
+            assert chunk(n, m) == default[states.index((n, m))], (n, m)
 
     @pytest.mark.parametrize(
         "N,M,t", [(1, 0, 0), (1, 1, 0), (8, 2, 0), (8, 2, 3), (32, 4, 8), (60, 60, 0)]
     )
     def test_distribution_chunk_ignores_the_block_size(self, monkeypatch, N, M, t):
-        default = montecarlo._distribution_chunk(2, 0, self.ROWS, N, M, t)
+        default = montecarlo._mafia_chunk(2, 0, self.ROWS, N, M, t, max(t, 1))
         self._small_blocks(monkeypatch, max(t, 1))
-        blocked = montecarlo._distribution_chunk(2, 0, self.ROWS, N, M, t)
+        blocked = montecarlo._mafia_chunk(2, 0, self.ROWS, N, M, t, max(t, 1))
         assert list(blocked) == list(default)
 
     def test_chunk_memory_is_bounded(self):
