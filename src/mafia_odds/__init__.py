@@ -28,7 +28,6 @@ from .evolution import (
     pm_continuous,
     win_chance_continuous,
     win_chance_continuous_linearized,
-    win_chance_from_evolution,
 )
 from .montecarlo import (
     EmpiricalDistribution,
@@ -92,7 +91,6 @@ __all__ = [
     "win_chance_closed",
     "win_chance_continuous",
     "win_chance_continuous_linearized",
-    "win_chance_from_evolution",
     "win_chance_leading_term",
     "win_chance_limit",
     "win_chance_recurrence",

@@ -18,6 +18,7 @@ __all__ = [
     "BoundaryRule",
     "GameState",
     "check_approx_state",
+    "check_initial",
     "check_state",
     "check_window",
     "double_factorial",
@@ -32,6 +33,13 @@ def check_state(n: int, m: int) -> None:
     """Refuse a population outside 0 <= m <= n: n players, m of them mafia."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
+
+
+def check_initial(N: int, M: int) -> None:
+    """Refuse a starting population that is empty or outside 0 <= M <= N."""
+    if N < 1:
+        raise ValueError(f"need N >= 1, got N={N}")
+    check_state(N, M)
 
 
 def check_approx_state(n: int, m: int) -> None:
@@ -76,12 +84,13 @@ class BoundaryRule(enum.Enum):
 
     def mafia_wins(self, n: int, m: int) -> bool:
         """Terminal test for a population of ``n`` players with ``m`` mafia."""
-        if self is BoundaryRule.STRICT_MAJORITY:
-            return 2 * m > n
-        return m > 0 and 2 * m >= n
+        return m >= self.first_win(n)
 
     def first_win(self, n: int) -> int:
-        """The smallest m >= 1 with ``mafia_wins(n, m)``; every larger m wins too."""
+        """The smallest mafia count that wins at n players; every larger one wins too.
+
+        Strict: 2m > n.  Ties: 2m >= n with m >= 1.
+        """
         if self is BoundaryRule.STRICT_MAJORITY:
             return n // 2 + 1
         return max(1, (n + 1) // 2)
@@ -96,11 +105,7 @@ def double_factorial(k: int) -> int:
     """
     if k < -1:
         raise ValueError(f"double_factorial undefined for k={k}")
-    result = 1
-    while k > 1:
-        result *= k
-        k -= 2
-    return result
+    return math.prod(range(k, 1, -2))
 
 
 def log_double_factorial(k: int) -> float:

@@ -21,7 +21,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import check_approx_state, check_state, check_window, falling_product
+from .core import (
+    check_approx_state,
+    check_initial,
+    check_state,
+    check_window,
+    falling_product,
+)
 
 __all__ = [
     "ContinuousDistribution",
@@ -36,7 +42,6 @@ __all__ = [
     "pm_continuous",
     "win_chance_continuous",
     "win_chance_continuous_linearized",
-    "win_chance_from_evolution",
 ]
 
 
@@ -68,12 +73,6 @@ class ContinuousDistribution:
         return sum(m * p for m, p in enumerate(self.probs))
 
 
-def _check_initial(N: int, M: int) -> None:
-    if N < 1:
-        raise ValueError(f"need N >= 1, got N={N}")
-    check_state(N, M)
-
-
 def discrete_path(N: int, M: int, t_max: int) -> Iterator[tuple[int, int, list[int]]]:
     """Yield (t, D_t, q) for t = 0, 1, ..., t_max with q[m] = D_t p_m(t).
 
@@ -87,7 +86,7 @@ def discrete_path(N: int, M: int, t_max: int) -> Iterator[tuple[int, int, list[i
     t outside the validity window 2t <= N - M; a negative t_max yields
     nothing.
     """
-    _check_initial(N, M)
+    check_initial(N, M)
     den, q = 1, [0] * M + [1]
     for t in range(t_max + 1):
         check_window(N, M, t)
@@ -106,7 +105,7 @@ def evolve_discrete(N: int, M: int, t: int) -> Distribution:
     within the validity window 2t <= N - M; outside it the update's
     coefficients stop describing a real game and the call is refused.
     """
-    _check_initial(N, M)
+    check_initial(N, M)
     check_window(N, M, t)
     for _, den, q in discrete_path(N, M, t):
         pass
@@ -119,10 +118,11 @@ def pm_closed(N: int, M: int, m: int, t: int) -> Fraction:
     p_m(t) = sum_{i=m}^{M} C(M, i) C(i, m) (-1)^(i-m) falling_product(N, t, i).
 
     Agrees with ``evolve_discrete`` on the whole validity window, and stays
-    defined up to 2t = N, which is what the endgame evaluation in
-    ``win_chance_from_evolution`` needs.
+    defined up to 2t = N: the endgame t = n//2 gives the win chance
+    w(n, m) = 1 - p_0, which is how ``win_chance_closed`` reads this sum.
+    N = 0 is allowed, so that w(0, 0) = 0 too.
     """
-    _check_initial(N, M)
+    check_state(N, M)
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")
     if t < 0 or 2 * t > N:
@@ -136,7 +136,7 @@ def pm_closed(N: int, M: int, m: int, t: int) -> Fraction:
 
 def mean_discrete(N: int, M: int, t: int) -> Fraction:
     """Exact mean mafia count after t turns: M prod_{i<t} (N-2i-1)/(N-2i)."""
-    _check_initial(N, M)
+    check_initial(N, M)
     check_window(N, M, t)
     value = Fraction(M)
     for i in range(t):
@@ -155,7 +155,7 @@ def pm_continuous(N: int, M: int, m: int, t: float) -> float:
     Binomial in shape: each mafioso independently "survives to time t" with
     amplitude s.  Defined for real t in [0, N/2]; m > M simply gives 0.
     """
-    _check_initial(N, M)
+    check_initial(N, M)
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")
     if not 0.0 <= t <= N / 2:
@@ -173,7 +173,7 @@ def peak_time(N: int, M: int, m: int) -> float:
     closed form to zero.  The interior-maximum derivation needs 1 <= m <= M;
     m = 0 grows right up to the boundary t = N/2 and is refused.
     """
-    _check_initial(N, M)
+    check_initial(N, M)
     if not 1 <= m <= M:
         raise ValueError(f"need 1 <= m <= M, got M={M}, m={m}")
     return (N / 2) * (1.0 - (m / M) ** 2)
@@ -181,7 +181,7 @@ def peak_time(N: int, M: int, m: int) -> float:
 
 def mean_continuous(N: int, M: int, t: float) -> float:
     """Mean of the continuous approximation: M sqrt(1 - 2t/N)."""
-    _check_initial(N, M)
+    check_initial(N, M)
     if not 0.0 <= t <= N / 2:
         raise ValueError(f"need 0 <= t <= N/2, got N={N}, t={t}")
     return M * _survival(N, t)
@@ -199,7 +199,7 @@ def integrate_continuous(
     at t = N/2; t_end must keep at least 10 steps of clearance.  The step is
     nudged to the nearest value that divides t_end evenly.
     """
-    _check_initial(N, M)
+    check_initial(N, M)
     if step <= 0.0:
         raise ValueError(f"need step > 0, got step={step}")
     if t_end < 0.0 or t_end > N / 2 - 10.0 * step:
@@ -252,14 +252,3 @@ def win_chance_continuous_linearized(n: int, m: int) -> float:
     check_approx_state(n, m)
     return m / math.sqrt(n)
 
-
-def win_chance_from_evolution(n: int, m: int) -> Fraction:
-    """Exact w(n, m) as 1 - p_0(endgame): nobody left to lynch, mafia alive.
-
-    The endgame time is n//2 turns; ``pm_closed`` stays defined there even
-    though it lies past the always-a-citizen validity window.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    check_state(n, m)
-    return 1 - pm_closed(n, m, 0, n // 2)

@@ -46,7 +46,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import BoundaryRule, GameState, check_state, check_window
+from .core import BoundaryRule, GameState, check_initial, check_state, check_window
 
 if TYPE_CHECKING:
     import numpy as np
@@ -117,11 +117,6 @@ class EmpiricalDistribution:
     seed: int
     counts: tuple[int, ...]
     probs: tuple[float, ...]
-
-
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must be a 64-bit value, got {seed}")
 
 
 def simulate_game(
@@ -197,7 +192,7 @@ def _worker_count(threads: int | None, chunks: int) -> int:
     integer raises ValueError.
     """
     auto = os.cpu_count() or 1
-    request = auto if threads is None else (auto if threads == 0 else threads)
+    request = threads or auto
     cap_env = os.environ.get("MAFIA_ODDS_THREADS", "")
     if cap_env:
         if not cap_env.isdecimal():
@@ -230,6 +225,18 @@ def _map_chunks(fn, args_list, threads: int | None, values: int):
         return pool.starmap(fn, args_list)
 
 
+def _count_mafia(
+    n: int, m: int, days: int, draws: int, trials: int, seed: int, threads: int | None
+) -> np.ndarray:
+    """Histogram of the mafia count after ``days`` turns over ``trials`` seeded games."""
+    if not 0 <= seed < _MAX_SEED:
+        raise ValueError(f"seed must be a 64-bit value, got {seed}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    args = [(seed, j, rows, n, m, days, draws) for j, rows in _chunk_layout(trials)]
+    return sum(_map_chunks(_mafia_chunk, args, threads, trials * draws))
+
+
 def estimate_win_chance(
     n: int,
     m: int,
@@ -245,15 +252,10 @@ def estimate_win_chance(
     independent of ``threads`` and of the MAFIA_ODDS_THREADS cap.
     """
     check_state(n, m)
-    _check_seed(seed)
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
     # lynch while a lone mafioso has not won yet: at >= 2 players (strict) or
     # >= 3 (ties); the row width n//2 + 1 is part of the seeding contract
     days = n // 2 if boundary is BoundaryRule.STRICT_MAJORITY else (n - 1) // 2
-    draws = n // 2 + 1
-    args = [(seed, j, rows, n, m, days, draws) for j, rows in _chunk_layout(trials)]
-    counts = sum(_map_chunks(_mafia_chunk, args, threads, trials * draws))
+    counts = _count_mafia(n, m, days, n // 2 + 1, trials, seed, threads)
     wins = trials - int(counts[0])
     estimate = wins / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
@@ -282,16 +284,9 @@ def estimate_distribution(
     citizens, so the t lynch draws are performed unconditionally; a trial
     whose mafia is already extinct just keeps m = 0.
     """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got N={N}")
-    check_state(N, M)
+    check_initial(N, M)
     check_window(N, M, t)
-    _check_seed(seed)
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    draws = max(t, 1)
-    args = [(seed, j, rows, N, M, t, draws) for j, rows in _chunk_layout(trials)]
-    counts = sum(_map_chunks(_mafia_chunk, args, threads, trials * draws))
+    counts = _count_mafia(N, M, t, max(t, 1), trials, seed, threads)
     counts = tuple(int(c) for c in counts)
     probs = tuple(c / trials for c in counts)
     return EmpiricalDistribution(

@@ -6,8 +6,9 @@ mafioso with probability m/n) and the mafia then kills a citizen by night, so
     w(n, m) = ((n - m)/n) w(n-2, m) + (m/n) w(n-2, m-1)
 
 with w = 0 once the mafia is extinct and w = 1 once the boundary rule declares
-a mafia win.  The closed form sums signed binomial multiples of
-``falling_product`` terms; the asymptotic forms trade exactness for O(1)
+a mafia win.  The closed form is 1 - p_0 at the endgame t = n//2, read
+from the one signed-binomial sum ``evolution.pm_closed``, and w(n, 1) is the
+i = 1 term of that sum; the asymptotic forms trade exactness for O(1)
 evaluation.
 """
 
@@ -28,6 +29,7 @@ from .core import (
     falling_product,
     log_double_factorial,
 )
+from .evolution import pm_closed
 
 __all__ = [
     "MonotonicityReport",
@@ -108,11 +110,12 @@ def win_chance_single(n: int) -> Fraction:
     n = 0 is the exhausted-pool state reached from (2, 1) when the lynch
     misses: nobody is left to vote, the mafioso has won, w(0, 1) = 1.  The
     double factorials agree, (-1)!!/0!! = 1, which keeps the identity
-    n w(n, 1) w(n-1, 1) = 1 valid all the way down to n = 1.
+    n w(n, 1) w(n-1, 1) = 1 valid all the way down to n = 1.  The ratio is
+    the i = 1 term ``falling_product(n, n//2, 1)`` of the closed sum.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
-    return Fraction(double_factorial(n - 1), double_factorial(n))
+    return falling_product(n, n // 2, 1)
 
 
 def win_chance_closed(
@@ -120,20 +123,16 @@ def win_chance_closed(
 ) -> Fraction:
     """Exact w(n, m) as a closed sum, no recurrence.
 
-    w(n, m) = 1 - sum_{i=0}^{m} C(m, i) (-1)^i falling_product(n, n//2, i).
+    w(n, m) = 1 - p_0(n//2) = 1 - sum_{i=0}^{m} C(m, i) (-1)^i
+    falling_product(n, n//2, i): the mafia wins unless it is extinct once
+    nobody is left to lynch.
 
     Only valid under the strict-majority boundary; the tie rule has no known
     closed form and is refused rather than silently mis-answered.
     """
     if boundary is not BoundaryRule.STRICT_MAJORITY:
         raise ValueError("closed form is only derived for the strict-majority boundary")
-    check_state(n, m)
-    t_end = n // 2
-    total = Fraction(0)
-    for i in range(m + 1):
-        term = math.comb(m, i) * falling_product(n, t_end, i)
-        total += -term if i % 2 else term
-    return 1 - total
+    return 1 - pm_closed(n, m, 0, n // 2)
 
 
 def win_chance_leading_term(n: int, m: int) -> float:

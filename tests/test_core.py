@@ -124,11 +124,15 @@ class TestBoundaryRule:
 
     @pytest.mark.parametrize("rule", list(BoundaryRule))
     def test_first_win_is_the_smallest_winning_mafia(self, rule):
-        for n in range(0, 60):
+        strict = rule is BoundaryRule.STRICT_MAJORITY
+        for n in range(0, 61):
             m = rule.first_win(n)
             assert m >= 1 and rule.mafia_wins(n, m), n
             assert not any(rule.mafia_wins(n, k) for k in range(1, m)), n
             assert all(rule.mafia_wins(n, k) for k in range(m, n + 3)), n
+            for k in range(0, n + 3):
+                literal = 2 * k > n if strict else k > 0 and 2 * k >= n
+                assert rule.mafia_wins(n, k) == literal, (n, k)
 
     def test_cli_facing_values(self):
         assert BoundaryRule("strict") is BoundaryRule.STRICT_MAJORITY

@@ -16,7 +16,6 @@ from mafia_odds.evolution import (
     pm_continuous,
     win_chance_continuous,
     win_chance_continuous_linearized,
-    win_chance_from_evolution,
 )
 from mafia_odds.winchance import win_chance_recurrence
 
@@ -87,6 +86,7 @@ class TestPmClosed:
         assert pm_closed(4, 1, 1, 1) == Fraction(3, 4)
         assert pm_closed(4, 1, 0, 1) == Fraction(1, 4)
         assert pm_closed(32, 4, 4, 0) == 1
+        assert pm_closed(0, 0, 0, 0) == 1  # the empty game: nobody to lynch
 
     def test_more_mafia_than_started_is_impossible(self):
         assert pm_closed(10, 3, 4, 1) == 0
@@ -222,21 +222,12 @@ class TestWinChanceContinuous:
         )
 
 
-class TestWinChanceFromEvolution:
-    def test_examples(self):
-        assert win_chance_from_evolution(4, 2) == Fraction(3, 4)
-        assert win_chance_from_evolution(7, 0) == 0
-        assert win_chance_from_evolution(9, 1) == Fraction(128, 315)
-
-    def test_rejects_more_mafia_than_players(self):
-        with pytest.raises(ValueError):
-            win_chance_from_evolution(3, 4)
-
+class TestWinChanceAtTheEndgame:
     @given(
-        st.integers(min_value=1, max_value=30).flatmap(
+        st.integers(min_value=0, max_value=30).flatmap(
             lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n))
         )
     )
-    def test_equals_the_recurrence(self, state):
+    def test_one_minus_p0_at_the_endgame_is_the_recurrence(self, state):
         n, m = state
-        assert win_chance_from_evolution(n, m) == win_chance_recurrence(n, m)
+        assert 1 - pm_closed(n, m, 0, n // 2) == win_chance_recurrence(n, m)

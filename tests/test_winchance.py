@@ -154,6 +154,7 @@ class TestClosedForm:
         assert win_chance_closed(4, 2) == Fraction(3, 4)
         assert win_chance_closed(6, 0) == 0
         assert win_chance_closed(9, 1) == Fraction(128, 315)
+        assert win_chance_closed(0, 0) == 0
 
     def test_refuses_tie_boundary(self):
         with pytest.raises(ValueError):
