@@ -165,11 +165,11 @@ def _evolve_discrete_records(N: int, M: int, t_max: int):
         yield _evolve_record("discrete", "mean", t, None, *_exact(mean, den))
 
 
-def _evolve_continuous_records(N: int, M: int, t_max: float, clamp: bool, spu: int):
-    for j in range(math.floor(t_max * spu) + 1):
+def _evolve_continuous_records(N: int, M: int, t_max: float, spu: int):
+    # bound t_max to [-1, N] so the count cannot overflow: the first sample past
+    # N/2 is still refused, and a negative t_max still gives no sample
+    for j in range(math.floor(min(max(t_max, -1.0), N) * spu) + 1):
         t = j / spu
-        if clamp:
-            t = min(t, N / 2)
         for m in range(M + 1):
             p = evolution.pm_continuous(N, M, m, t)
             yield _evolve_record("continuous", "p", t, m, None, None, p)
@@ -191,11 +191,8 @@ def cmd_evolve(args: argparse.Namespace):
         t_max = (N - M) // 2 if args.t_max is None else math.floor(args.t_max)
         records.extend(_evolve_discrete_records(N, M, t_max))
     if args.mode in ("continuous", "both"):
-        clamp = args.t_max is None  # guard the defaulted endpoint against float dust
         t_max = N / 2 if args.t_max is None else args.t_max
-        records.extend(
-            _evolve_continuous_records(N, M, t_max, clamp, args.samples_per_unit)
-        )
+        records.extend(_evolve_continuous_records(N, M, t_max, args.samples_per_unit))
     return ("mode", "kind", "t", "m", "value"), records
 
 

@@ -17,10 +17,6 @@ from functools import lru_cache
 __all__ = [
     "BoundaryRule",
     "GameState",
-    "check_approx_state",
-    "check_initial",
-    "check_state",
-    "check_window",
     "double_factorial",
     "falling_product",
     "log_double_factorial",
@@ -43,10 +39,10 @@ def check_initial(N: int, M: int) -> None:
 
 
 def check_approx_state(n: int, m: int) -> None:
-    """Refuse n < 1 or m < 0 in the float approximations, which allow m > n."""
+    """Refuse n < 1 or a non-finite or negative m; these float laws allow m > n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    if m < 0:
+    if not 0 <= m < math.inf:
         raise ValueError(f"need m >= 0, got m={m}")
 
 

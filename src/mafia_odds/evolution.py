@@ -145,8 +145,10 @@ def mean_discrete(N: int, M: int, t: int) -> Fraction:
 
 
 def _survival(N: int, t: float) -> float:
-    # guard the radicand against float dust at t = N/2
-    return math.sqrt(max(0.0, 1.0 - 2.0 * t / N))
+    """s(t) = sqrt(1 - 2t/N) for real t in [0, N/2]."""
+    if not 0.0 <= t <= N / 2:
+        raise ValueError(f"need 0 <= t <= N/2, got N={N}, t={t}")
+    return math.sqrt(1.0 - 2.0 * t / N)
 
 
 def pm_continuous(N: int, M: int, m: int, t: float) -> float:
@@ -158,11 +160,9 @@ def pm_continuous(N: int, M: int, m: int, t: float) -> float:
     check_initial(N, M)
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")
-    if not 0.0 <= t <= N / 2:
-        raise ValueError(f"need 0 <= t <= N/2, got N={N}, t={t}")
+    s = _survival(N, t)
     if m > M:
         return 0.0
-    s = _survival(N, t)
     return math.comb(M, m) * (1.0 - s) ** (M - m) * s**m
 
 
@@ -182,8 +182,6 @@ def peak_time(N: int, M: int, m: int) -> float:
 def mean_continuous(N: int, M: int, t: float) -> float:
     """Mean of the continuous approximation: M sqrt(1 - 2t/N)."""
     check_initial(N, M)
-    if not 0.0 <= t <= N / 2:
-        raise ValueError(f"need 0 <= t <= N/2, got N={N}, t={t}")
     return M * _survival(N, t)
 
 
@@ -200,9 +198,9 @@ def integrate_continuous(
     nudged to the nearest value that divides t_end evenly.
     """
     check_initial(N, M)
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError(f"need step > 0, got step={step}")
-    if t_end < 0.0 or t_end > N / 2 - 10.0 * step:
+    if not 0.0 <= t_end <= N / 2 - 10.0 * step:
         raise ValueError(
             f"need 0 <= t_end <= N/2 - 10*step, got N={N}, t_end={t_end}, step={step}"
         )

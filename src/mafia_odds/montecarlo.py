@@ -52,7 +52,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "CHUNK_TRIALS",
     "EmpiricalDistribution",
     "SimulationReport",
     "Trajectory",

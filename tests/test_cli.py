@@ -174,7 +174,7 @@ class TestEvolveCommand:
 
     # --t-max is floored, not truncated toward zero: no turn 0 for t_max < 0
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
-    @pytest.mark.parametrize("t_max", ["-0.5", "-0.99", "-0.05"])
+    @pytest.mark.parametrize("t_max", ["-0.5", "-0.99", "-0.05", "-1e308"])
     def test_fractional_negative_t_max_prints_only_the_header(
         self, capsys, mode, t_max
     ):
@@ -196,6 +196,24 @@ class TestEvolveCommand:
         assert proc.stdout == b""
         assert proc.stderr.decode().strip() == (
             "mafia-odds: need 0 <= 2t <= N - M, got N=9, M=2, t=4"
+        )
+
+    # a huge --t-max is bounded by the model: the first sample past N/2 is refused
+    @pytest.mark.parametrize(
+        "t_max, spu, first_invalid",
+        [("100", "10", "2.1"), ("1e308", "10", "2.1"), ("1e306", "1000", "2.001")],
+    )
+    def test_continuous_time_beyond_n_over_2_names_the_first_invalid_sample(
+        self, t_max, spu, first_invalid
+    ):
+        proc = run_cli(
+            "evolve", "-n", "4", "-m", "1", "--mode", "continuous",
+            f"--t-max={t_max}", "--samples-per-unit", spu,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == (
+            f"mafia-odds: need 0 <= t <= N/2, got N=4, t={first_invalid}\n"
         )
 
     def test_discrete_rows_match_the_library(self):

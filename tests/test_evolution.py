@@ -202,6 +202,10 @@ class TestIntegrateContinuous:
             integrate_continuous(32, 4, 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate_continuous(32, 4, 1.0, -1e-3)
+        with pytest.raises(ValueError):
+            integrate_continuous(20, 3, math.nan, 0.01)
+        with pytest.raises(ValueError):
+            integrate_continuous(20, 3, 1.0, math.nan)
 
 
 class TestWinChanceContinuous:

@@ -273,6 +273,12 @@ class TestLimitLaw:
             win_chance_limit(0, 1)
         with pytest.raises(ValueError):
             win_chance_limit(10, -1)
+        with pytest.raises(ValueError):
+            win_chance_limit(11, math.inf)
+        with pytest.raises(ValueError):
+            win_chance_asymptotic(10, math.nan)
+        with pytest.raises(ValueError):
+            win_chance_leading_term(10, math.nan)
 
 
 class TestParityRatio:
