@@ -9,9 +9,9 @@ Output contract (versioned; tests pin it):
 * JSON: single top-level object (winchance, simulate) or array (the table
   emitters), stable key order, full round-trip floats, exact values as
   "_num"/"_den" integer fields with null where not applicable.  The bytes
-  are those of ``json.dumps(records, indent=2)``; every record of a command
-  shares one key order, so an array is encoded in one C-encoder call and
-  laid out by one per-record template.
+  are those of ``json.dumps(records, indent=2)``.  Each command declares
+  its field names once and emits rows of values in that order, so an array
+  is encoded in one C-encoder call and laid out by one per-row template.
 
 Exit codes: 0 success, 1 computation-domain error (e.g. the closed form
 under the tie boundary, or an evolution time outside the validity window),
@@ -22,13 +22,11 @@ cannot be written, which is refused before anything is computed).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
 from fractions import Fraction
-from operator import itemgetter
 
 from . import evolution, montecarlo, winchance
 from .core import BoundaryRule, check_state
@@ -40,32 +38,34 @@ class _ArgumentError(ValueError):
     """Flag-level problem; maps to exit code 2."""
 
 
-# the CSV cell of each value type a record holds
+# the CSV cell of each value type a row holds
 _CELL = {type(None): lambda _: "", float: "{:.12g}".format, int: str, str: str}
 
 
-def _emit(columns: tuple[str, ...], records, fmt: str) -> str:
-    """Render a handler's records: JSON as they are, CSV by ``columns``.
+def _emit(fmt: str, fields: tuple[str, ...], rows, width: int | None = None) -> str:
+    """Render a handler's rows: JSON objects keyed by ``fields``, or CSV.
 
-    ``records`` is one dict (winchance, simulate) or a list of non-empty
-    dicts of scalars that share their keys, in one order.
+    ``rows`` is one tuple (winchance, simulate) or a list of tuples of
+    scalars, each in the order of ``fields``.  CSV writes the first
+    ``width`` fields of each row, all of them by default.
     """
     if fmt == "json":
-        if isinstance(records, dict) or not records:
-            return json.dumps(records, indent=2) + "\n"
+        if isinstance(rows, tuple):
+            return json.dumps(dict(zip(fields, rows)), indent=2) + "\n"
+        if not rows:
+            return "[]\n"
         # indent=2 would take the pure-Python encoder; the C one encodes the
         # flat values, and JSON escapes "\n" inside strings, so it splits them
-        values = json.dumps(
-            [v for record in records for v in record.values()], separators=("\n", ":")
-        )[1:-1].split("\n")
-        keys = [json.dumps(key).replace("%", "%%") for key in records[0]]
+        values = json.dumps([v for row in rows for v in row], separators=("\n", ":"))
+        values = tuple(values[1:-1].split("\n"))
+        keys = [json.dumps(key).replace("%", "%%") for key in fields]
         record = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-        return "[\n" + ",\n".join([record] * len(records)) % tuple(values) + "\n]\n"
-    if isinstance(records, dict):
-        records = [records]
-    lines = [",".join(columns)]
-    for values in map(itemgetter(*columns), records):
-        lines.append(",".join([_CELL[type(v)](v) for v in values]))
+        return "[\n" + ",\n".join([record] * len(rows)) % values + "\n]\n"
+    if isinstance(rows, tuple):
+        rows = [rows]
+    lines = [",".join(fields[:width])]
+    for row in rows:
+        lines.append(",".join([_CELL[type(v)](v) for v in row[:width]]))
     return "\n".join(lines) + "\n"
 
 
@@ -90,11 +90,7 @@ def _exact(num: int, den: int) -> tuple[int, int, float]:
     return num // g, den // g, num / den
 
 
-def _w_record(n: int, m: int, num, den, value: float) -> dict:
-    return {"n": n, "m": m, "w_num": num, "w_den": den, "w_float": value}
-
-
-_W_COLUMNS = ("n", "m", "w_num", "w_den", "w_float")
+_W_FIELDS = ("n", "m", "w_num", "w_den", "w_float")
 
 # look the solvers up at call time, so a wrapper put on the module
 # attribute (a tracer, a test) sees the call
@@ -110,71 +106,52 @@ def cmd_winchance(args: argparse.Namespace):
     n, m = _state(args)
     value = _METHODS[args.method](n, m, BoundaryRule(args.boundary))
     if type(value) is Fraction:
-        return _W_COLUMNS, _w_record(n, m, *_exact(value.numerator, value.denominator))
-    return _W_COLUMNS, _w_record(n, m, None, None, float(value))
+        return _W_FIELDS, (n, m, *_exact(value.numerator, value.denominator))
+    return _W_FIELDS, (n, m, None, None, float(value))
 
 
 def cmd_table(args: argparse.Namespace):
     _need_max_n(args, 1)
     boundary = BoundaryRule(args.boundary)
-    records = [
-        _w_record(n, m, *_exact(value, dfact))
+    rows = [
+        (n, m, *_exact(value, dfact))
         for n, dfact, row in winchance.win_chance_rows(args.max_n, boundary)
         if n >= 1
         for m, value in enumerate(row)
     ]
-    return _W_COLUMNS, records
+    return _W_FIELDS, rows
 
 
 def cmd_single_mafia(args: argparse.Namespace):
     _need_max_n(args, 1)
-    records = []
+    rows = []
     below, dfact = 1, 1  # (n-1)!! and n!! at n = 0; w(n, 1) = (n-1)!!/n!!
     for n in range(1, args.max_n + 1):
         below, dfact = dfact, n * below
-        num, den, value = _exact(below, dfact)
-        records.append(
-            {
-                "n": n,
-                "w_exact_num": num,
-                "w_exact_den": den,
-                "w_exact_float": value,
-                "approx_parity_aware": winchance.win_chance_asymptotic(n, 1),
-            }
-        )
-    return tuple(records[0]), records
+        rows.append((n, *_exact(below, dfact), winchance.win_chance_asymptotic(n, 1)))
+    fields = ("n", "w_exact_num", "w_exact_den", "w_exact_float", "approx_parity_aware")
+    return fields, rows
 
 
-def _evolve_record(mode: str, kind: str, t, m, num, den, value: float) -> dict:
-    return {
-        "mode": mode,
-        "kind": kind,
-        "t": t,
-        "m": m,
-        "value": value,
-        "value_num": num,
-        "value_den": den,
-    }
-
-
-def _evolve_discrete_records(N: int, M: int, t_max: int):
+def _evolve_discrete_rows(N: int, M: int, t_max: int):
     for t, den, q in evolution.discrete_path(N, M, t_max):
         for m, x in enumerate(q):
-            yield _evolve_record("discrete", "p", t, m, *_exact(x, den))
-        mean = sum(m * x for m, x in enumerate(q))
-        yield _evolve_record("discrete", "mean", t, None, *_exact(mean, den))
+            num, d, value = _exact(x, den)
+            yield "discrete", "p", t, m, value, num, d
+        num, d, value = _exact(sum(m * x for m, x in enumerate(q)), den)
+        yield "discrete", "mean", t, None, value, num, d
 
 
-def _evolve_continuous_records(N: int, M: int, t_max: float, spu: int):
+def _evolve_continuous_rows(N: int, M: int, t_max: float, spu: int):
     # bound t_max to [-1, N] so the count cannot overflow: the first sample past
     # N/2 is still refused, and a negative t_max still gives no sample
     for j in range(math.floor(min(max(t_max, -1.0), N) * spu) + 1):
         t = j / spu
         for m in range(M + 1):
             p = evolution.pm_continuous(N, M, m, t)
-            yield _evolve_record("continuous", "p", t, m, None, None, p)
+            yield "continuous", "p", t, m, p, None, None
         mean = evolution.mean_continuous(N, M, t)
-        yield _evolve_record("continuous", "mean", t, None, None, None, mean)
+        yield "continuous", "mean", t, None, mean, None, None
 
 
 def cmd_evolve(args: argparse.Namespace):
@@ -185,29 +162,26 @@ def cmd_evolve(args: argparse.Namespace):
         raise _ArgumentError(f"need --samples-per-unit >= 1, got {args.samples_per_unit}")
     if args.t_max is not None and not math.isfinite(args.t_max):
         raise _ArgumentError(f"need a finite --t-max, got {args.t_max}")
-    records = []
+    rows = []
     if args.mode in ("discrete", "both"):
         # default: sweep the whole validity window
         t_max = (N - M) // 2 if args.t_max is None else math.floor(args.t_max)
-        records.extend(_evolve_discrete_records(N, M, t_max))
+        rows.extend(_evolve_discrete_rows(N, M, t_max))
     if args.mode in ("continuous", "both"):
         t_max = N / 2 if args.t_max is None else args.t_max
-        records.extend(_evolve_continuous_records(N, M, t_max, args.samples_per_unit))
-    return ("mode", "kind", "t", "m", "value"), records
+        rows.extend(_evolve_continuous_rows(N, M, t_max, args.samples_per_unit))
+    # CSV keeps the first five fields; the exact pair is JSON-only
+    return ("mode", "kind", "t", "m", "value", "value_num", "value_den"), rows, 5
 
 
 def cmd_optimal(args: argparse.Namespace):
     _need_max_n(args, 2)
-    records = [
-        {
-            "n": n,
-            "m_opt_numeric": winchance.optimal_mafia_from_row(dfact, row),
-            "m_opt_approx": winchance.optimal_mafia_approx(n),
-        }
+    rows = [
+        (n, winchance.optimal_mafia_from_row(dfact, row), winchance.optimal_mafia_approx(n))
         for n, dfact, row in winchance.win_chance_rows(args.max_n)
         if n >= 2
     ]
-    return ("n", "m_opt_numeric", "m_opt_approx"), records
+    return ("n", "m_opt_numeric", "m_opt_approx"), rows
 
 
 def cmd_simulate(args: argparse.Namespace):
@@ -219,8 +193,8 @@ def cmd_simulate(args: argparse.Namespace):
     report = montecarlo.estimate_win_chance(
         n, m, BoundaryRule(args.boundary), args.trials, args.seed
     )
-    record = dataclasses.asdict(report)
-    return tuple(record), record
+    record = vars(report)
+    return tuple(record), tuple(record.values())
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
@@ -318,10 +292,12 @@ def main(argv=None) -> int:
         except OSError as exc:
             return _fail(f"cannot write --output {path}: {exc.strerror}", 2)
     try:
-        text = _emit(*args.handler(args), args.format)
-    except ValueError as exc:
+        text = _emit(args.format, *args.handler(args))
+    except BaseException as exc:
         if created:
             os.remove(path)
+        if not isinstance(exc, ValueError):
+            raise
         return _fail(str(exc), 2 if isinstance(exc, _ArgumentError) else 1)
     if path is None:
         sys.stdout.write(text)

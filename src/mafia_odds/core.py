@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +41,7 @@ def check_initial(N: int, M: int) -> None:
 
 def check_approx_state(n: int, m: int) -> None:
     """Refuse n < 1 or a non-finite or negative m; these float laws allow m > n."""
-    if n < 1:
+    if operator.index(n) < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     if not 0 <= m < math.inf:
         raise ValueError(f"need m >= 0, got m={m}")

@@ -190,7 +190,10 @@ def _worker_count(threads: int | None, chunks: int) -> int:
     An empty MAFIA_ODDS_THREADS counts as unset; anything but a non-negative
     integer raises ValueError.
     """
-    auto = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        auto = len(os.sched_getaffinity(0))
+    else:
+        auto = os.cpu_count() or 1
     request = threads or auto
     cap_env = os.environ.get("MAFIA_ODDS_THREADS", "")
     if cap_env:

@@ -15,6 +15,7 @@ evaluation.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -269,7 +270,7 @@ def optimal_mafia_approx(n: int) -> float:
     are below the true ones of ``optimal_mafia_asymptotic``, so its gap to
     the exact optimum grows like sqrt(n).
     """
-    if n < 1:
+    if operator.index(n) < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     return 0.5 * (math.pi / 2) ** (0.5 - (n % 2)) * math.sqrt(n)
 
@@ -281,7 +282,7 @@ def optimal_mafia_asymptotic(n: int) -> float:
     roots of the two parity laws, found by bisection; neither is fitted to
     the exact optimum.
     """
-    if n < 1:
+    if operator.index(n) < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     return _HALF_ROOTS[n % 2] * math.sqrt(n)
 

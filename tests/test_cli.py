@@ -376,6 +376,21 @@ class TestOutputFile:
         assert cli.main([*argv, "--output", str(target)]) == code
         assert target.read_bytes() == b"earlier output\n"
 
+    def test_interrupted_command_propagates_and_leaves_no_new_file(
+        self, tmp_path, monkeypatch
+    ):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(winchance, "win_chance_rows", interrupt)
+        new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
+        existing.write_bytes(b"earlier output\n")
+        for target in (new, existing):
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(["table", "--max-n", "5", "--output", str(target)])
+        assert not new.exists()
+        assert existing.read_bytes() == b"earlier output\n"
+
 
 # every kind of scalar the encoder tells apart, beyond what the commands
 # print; the characters cover each escape class (quote, backslash, control,
@@ -396,19 +411,46 @@ def _records(draw):
     keys = draw(st.lists(st.text(_JSON_CHARS), min_size=1, max_size=4, unique=True))
     values = st.lists(_JSON_VALUES, min_size=len(keys), max_size=len(keys))
     rows = draw(st.lists(values, min_size=1, max_size=6))
-    return [dict(zip(keys, row)) for row in rows]
+    return tuple(keys), [tuple(row) for row in rows]
 
 
 class TestEmitJson:
     @given(_records())
     def test_record_lists_match_the_indented_encoder(self, records):
-        assert cli._emit((), records, "json") == json.dumps(records, indent=2) + "\n"
+        fields, rows = records
+        expected = json.dumps([dict(zip(fields, row)) for row in rows], indent=2)
+        assert cli._emit("json", fields, rows) == expected + "\n"
 
     def test_a_single_record_and_no_records(self):
         record = {"n": 9, "w_num": 1 << 3000, "w_float": -0.0, "note": "\u00e9\n"}
         expected = json.dumps(record, indent=2) + "\n"
-        assert cli._emit(tuple(record), record, "json") == expected
-        assert cli._emit(("n",), [], "json") == "[]\n"
+        assert cli._emit("json", tuple(record), tuple(record.values())) == expected
+        assert cli._emit("json", ("n",), []) == "[]\n"
+
+
+# a small run of every command: its JSON objects share one key order, and
+# its CSV header is their first keys (evolve's leaves out the exact pair)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "winchance -n 9 -m 2",
+        "table --max-n 4",
+        "single-mafia --max-n 4",
+        "evolve -n 6 -m 2 --samples-per-unit 2",
+        "optimal --max-n 5",
+        "simulate -n 9 -m 2 --trials 100",
+    ],
+)
+def test_csv_header_leads_the_json_keys(capsys, argv):
+    assert cli.main(argv.split()) == 0
+    header = capsys.readouterr().out.splitlines()[0].split(",")
+    assert cli.main([*argv.split(), "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    if isinstance(records, dict):
+        records = [records]
+    keys = list(records[0])
+    assert all(list(record) == keys for record in records)
+    assert keys[: len(header)] == header
 
 
 def test_exact_commands_do_not_import_numpy():

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import os
 import random
 import re
 import tracemalloc
@@ -312,3 +313,10 @@ class TestWorkerPool:
         assert report == estimate_win_chance(9, 2, STRICT, 150_000, seed=42, threads=1)
         emp = estimate_distribution(16, 3, 4, 100_000, seed=11)
         assert sum(emp.counts) == 100_000
+
+    def test_auto_count_is_the_cpus_the_process_may_run_on(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.delenv("MAFIA_ODDS_THREADS", raising=False)
+        assert montecarlo._worker_count(None, 2) == 1
+        monkeypatch.setenv("MAFIA_ODDS_THREADS", "0")
+        assert montecarlo._worker_count(None, 2) == 1

@@ -279,6 +279,11 @@ class TestLimitLaw:
             win_chance_asymptotic(10, math.nan)
         with pytest.raises(ValueError):
             win_chance_leading_term(10, math.nan)
+        for n in (math.nan, math.inf, 10.5):
+            with pytest.raises(TypeError):
+                win_chance_limit(n, 1)
+            with pytest.raises(TypeError):
+                win_chance_asymptotic(n, 1)
 
 
 class TestParityRatio:
@@ -345,6 +350,11 @@ class TestOptimalMafia:
             optimal_mafia_approx(0)
         with pytest.raises(ValueError):
             optimal_mafia_asymptotic(0)
+        for n in (math.nan, math.inf, 10.5):
+            with pytest.raises(TypeError):
+                optimal_mafia_approx(n)
+            with pytest.raises(TypeError):
+                optimal_mafia_asymptotic(n)
 
 
 class TestMonotonicity:
