@@ -193,8 +193,7 @@ def cmd_simulate(args: argparse.Namespace):
     report = montecarlo.estimate_win_chance(
         n, m, BoundaryRule(args.boundary), args.trials, args.seed
     )
-    record = vars(report)
-    return tuple(record), tuple(record.values())
+    return report._fields, tuple(report)
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:

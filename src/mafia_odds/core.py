@@ -11,9 +11,9 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "BoundaryRule",
@@ -53,15 +53,23 @@ def check_window(N: int, M: int, t: int) -> None:
         raise ValueError(f"need 0 <= 2t <= N - M, got N={N}, M={M}, t={t}")
 
 
-@dataclass(frozen=True, slots=True)
-class GameState:
-    """A living population: ``n`` players total, ``m`` of them mafia."""
-
+class _Population(NamedTuple):
     n: int
     m: int
 
-    def __post_init__(self) -> None:
-        check_state(self.n, self.m)
+
+class GameState(_Population):
+    """A living population: ``n`` players total, ``m`` of them mafia."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int) -> GameState:
+        check_state(n, m)
+        return super().__new__(cls, n, m)
+
+    @classmethod
+    def _make(cls, iterable) -> GameState:  # ``_replace`` builds through it
+        return cls(*iterable)
 
     @property
     def citizens(self) -> int:
@@ -93,6 +101,14 @@ class BoundaryRule(enum.Enum):
         return max(1, (n + 1) // 2)
 
 
+def _product(factors: range) -> int:
+    """``math.prod(factors)``, split in halves so big products multiply balanced operands."""
+    if len(factors) <= 64:
+        return math.prod(factors)
+    half = len(factors) // 2
+    return _product(factors[:half]) * _product(factors[half:])
+
+
 def double_factorial(k: int) -> int:
     """k!! = k (k-2) (k-4) ... down to 2 or 1; by convention 0!! = (-1)!! = 1.
 
@@ -102,7 +118,7 @@ def double_factorial(k: int) -> int:
     """
     if k < -1:
         raise ValueError(f"double_factorial undefined for k={k}")
-    return math.prod(range(k, 1, -2))
+    return _product(range(k, 1, -2))
 
 
 def log_double_factorial(k: int) -> float:
@@ -136,5 +152,5 @@ def falling_product(N: int, t: int, i: int) -> Fraction:
     if 2 * t > N:
         raise ValueError(f"need 2t <= N, got N={N}, t={t}")
     return Fraction(
-        math.prod(range(N - i, N - i - 2 * t, -2)), math.prod(range(N, N - 2 * t, -2))
+        _product(range(N - i, N - i - 2 * t, -2)), _product(range(N, N - 2 * t, -2))
     )

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     check_approx_state,
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(NamedTuple):
     """Exact state distribution after ``t`` full turns: probs[m] = p_m(t)."""
 
     N: int
@@ -59,8 +58,7 @@ class Distribution:
         return sum((m * p for m, p in enumerate(self.probs)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class ContinuousDistribution:
+class ContinuousDistribution(NamedTuple):
     """Float-valued distribution of the continuous-time approximation."""
 
     N: int

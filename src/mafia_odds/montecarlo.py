@@ -43,8 +43,7 @@ import enum
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import BoundaryRule, GameState, check_initial, check_state, check_window
 
@@ -81,8 +80,7 @@ class Winner(enum.Enum):
     CITIZENS = "citizens"
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """One played game: the visited states and who ended up winning.
 
     Consecutive states differ by a full turn (two eliminations, n -> n-2,
@@ -94,8 +92,7 @@ class Trajectory:
     winner: Winner
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     n: int
     m: int
     trials: int
@@ -105,8 +102,7 @@ class SimulationReport:
     std_error: float
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
+class EmpiricalDistribution(NamedTuple):
     """Observed mafia-count frequencies after t full turns."""
 
     N: int
@@ -261,15 +257,7 @@ def estimate_win_chance(
     wins = trials - int(counts[0])
     estimate = wins / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
-    return SimulationReport(
-        n=n,
-        m=m,
-        trials=trials,
-        seed=seed,
-        mafia_wins=wins,
-        estimate=estimate,
-        std_error=std_error,
-    )
+    return SimulationReport(n, m, trials, seed, wins, estimate, std_error)
 
 
 def estimate_distribution(

@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, zip_longest
+from typing import NamedTuple
 
 from .core import (
     BoundaryRule,
@@ -287,12 +287,11 @@ def optimal_mafia_asymptotic(n: int) -> float:
     return _HALF_ROOTS[n % 2] * math.sqrt(n)
 
 
-@dataclass
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     """Outcome of sweeping the qualitative inequalities over a state region."""
 
     max_n: int
-    violations: list[tuple[str, GameState]] = field(default_factory=list)
+    violations: list[tuple[str, GameState]]
 
     @property
     def ok(self) -> bool:
@@ -329,23 +328,23 @@ def verify_monotonicity(
     def w(n: int, m: int) -> Fraction:
         return rows[n][m]
 
-    report = MonotonicityReport(max_n=n_max)
+    violations: list[tuple[str, GameState]] = []
     for n in range(2, n_max + 1):
         # the region n - m >= m >= 1 is exactly 1 <= m <= n // 2
         for m in range(1, n // 2 + 1):
             state = GameState(n, m)
             if not w(n, m) > w(n, m - 1):
-                report.violations.append(("w(n,m) > w(n,m-1)", state))
+                violations.append(("w(n,m) > w(n,m-1)", state))
             if not w(n + 2, m) < w(n, m):
-                report.violations.append(("w(n+2,m) < w(n,m)", state))
+                violations.append(("w(n+2,m) < w(n,m)", state))
             if not w(n + 2, m + 1) > w(n, m):
-                report.violations.append(("w(n+2,m+1) > w(n,m)", state))
+                violations.append(("w(n+2,m+1) > w(n,m)", state))
             if n % 2 == 0 and not w(n + 1, m) > w(n, m):
-                report.violations.append(("w(n+1,m) > w(n,m), n even", state))
+                violations.append(("w(n+1,m) > w(n,m), n even", state))
             if m <= n - 2:
                 d_stay = w(n - 2, m) - w(n, m)
                 d_drop = w(n, m) - w(n - 2, m - 1)
                 d_span = w(n - 2, m) - w(n - 2, m - 1)
                 if not _sign(d_stay) == _sign(d_drop) == _sign(d_span):
-                    report.violations.append(("sandwich differences share a sign", state))
-    return report
+                    violations.append(("sandwich differences share a sign", state))
+    return MonotonicityReport(n_max, violations)

@@ -462,6 +462,18 @@ def test_exact_commands_do_not_import_numpy():
     assert proc.stdout == b"False\n"
 
 
+def test_cli_import_skips_dataclasses_and_inspect():
+    code = (
+        "import sys, mafia_odds.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == b"[]\n"
+
+
 # SHA-256 of stdout for every subcommand in both formats, every --method,
 # every evolve --mode and the tie boundary: any changed output byte fails.
 GOLDEN_STDOUT = [

@@ -7,6 +7,7 @@ from hypothesis import assume, given, strategies as st
 from mafia_odds.core import (
     BoundaryRule,
     GameState,
+    _product,
     double_factorial,
     falling_product,
     log_double_factorial,
@@ -31,6 +32,20 @@ class TestDoubleFactorial:
     @given(st.integers(min_value=1, max_value=500))
     def test_downward_recursion(self, k):
         assert double_factorial(k) == k * double_factorial(k - 2)
+
+    def test_downward_recursion_through_every_split(self):
+        for k in range(1, 3001):
+            assert double_factorial(k) == k * double_factorial(k - 2), k
+
+
+class TestProduct:
+    def test_equals_math_prod_for_every_length(self):
+        # starts 2L and 2L+1 stay positive; starts L and L+1 reach 0 or cross it
+        for length in range(301):
+            for start in (2 * length, 2 * length + 1, length, length + 1):
+                factors = range(start, start - 2 * length, -2)
+                assert len(factors) == length
+                assert _product(factors) == math.prod(factors), (start, length)
 
 
 class TestLogDoubleFactorial:
@@ -101,6 +116,20 @@ class TestGameState:
     def test_fields_and_citizens(self):
         s = GameState(9, 3)
         assert (s.n, s.m, s.citizens) == (9, 3, 6)
+
+    def test_builds_by_keyword_and_as_a_tuple(self):
+        s = GameState(n=9, m=3)
+        assert s == GameState(9, 3) == (9, 3)
+        n, m = s
+        assert (n, m) == (9, 3)
+        assert repr(s) == "GameState(n=9, m=3)"
+
+    def test_replace_checks_the_new_state(self):
+        assert GameState(9, 3)._replace(m=4) == GameState(9, 4)
+        with pytest.raises(ValueError):
+            GameState(9, 3)._replace(m=12)
+        with pytest.raises(ValueError):
+            GameState._make((3, 4))
 
     @pytest.mark.parametrize("n,m", [(3, 4), (-1, 0), (2, -1)])
     def test_rejects_invalid_states(self, n, m):
