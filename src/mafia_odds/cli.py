@@ -13,9 +13,9 @@ Output contract (versioned; tests pin it):
   its field names once and emits rows of values in that order, so an array
   is encoded in one C-encoder call and laid out by one per-row template.
 
-Exit codes: 0 success, 1 computation-domain error (e.g. the closed form
-under the tie boundary, or an evolution time outside the validity window),
-2 argument error (including a non-finite --t-max and an --output path that
+Exit codes: 0 success, 1 computation-domain error (e.g. an evolution time
+outside the validity window, or a malformed MAFIA_ODDS_THREADS), 2 argument
+error (including a non-finite --t-max and an --output path that
 cannot be written, which is refused before anything is computed).
 """
 

@@ -100,6 +100,19 @@ class BoundaryRule(enum.Enum):
             return n // 2 + 1
         return max(1, (n + 1) // 2)
 
+    def lynch_days(self, n: int) -> int:
+        """Day lynches that decide a game from n players.
+
+        The mafia wins exactly when a mafioso survives them: the town votes
+        on a lone mafioso while at least 2 players live (strict) or 3 (ties;
+        at (2, 1) the mafia has already won), and a mafia that holds its
+        winning share keeps it through every later turn.  Under ties n = 0
+        gives 0, not (0 - 1) // 2 = -1.
+        """
+        if self is BoundaryRule.STRICT_MAJORITY:
+            return n // 2
+        return max(n - 1, 0) // 2
+
 
 def _product(factors: range) -> int:
     """``math.prod(factors)``, split in halves so big products multiply balanced operands."""

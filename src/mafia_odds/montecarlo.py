@@ -21,20 +21,24 @@ share (m > alive/2, or m >= alive/2 under ties) it keeps it, with m >= 1,
 through every later turn; and m = 0 stays 0, since u * alive < 0 never
 holds.  The winner is therefore a function of the final mafia count alone.
 :func:`_mafia_chunk` runs nothing but the lynch step for a fixed number of
-days and returns the histogram of that count: while at least 2 players live
-(strict) or 3 (ties; at (2, 1) the mafia has already won) for
-:func:`estimate_win_chance`, which counts every trial with m > 0 as a mafia
-win, and t days for :func:`estimate_distribution`.  A trial whose game ended
-earlier still has its later uniforms drawn, but they cannot change its
-winner, so every per-trial stream, and the seeding contract, is unchanged.
+days and returns the histogram of that count: ``boundary.lynch_days(n)``
+days for :func:`estimate_win_chance`, which counts every trial with m > 0 as
+a mafia win, and t days for :func:`estimate_distribution`.  A trial whose
+game ended earlier still has its later uniforms drawn, but they cannot
+change its winner, so every per-trial stream, and the seeding contract, is
+unchanged.  The kernel turns each uniform into a lynch level
+min(floor(u * alive), m), a small unsigned integer; for an integer count
+mafia <= m, u * alive < mafia exactly when the level is below mafia, so
+the day loop over contiguous rows of levels counts what the float test
+would.
 
 Memory and workers.  PCG64 fills row-major, so a chunk is drawn in row
-sub-blocks of at most ``_BLOCK_VALUES`` uniforms that are, bit for bit, the
-rows of one whole-chunk draw: a chunk's memory stays bounded whatever n is.
-A call whose work (trials x draws) is below ``_PARALLEL_MIN_VALUES`` uniforms
-runs in-process, because starting a worker pool costs more than it saves
-there.  numpy is imported on first use, so importing the package (and every
-exact CLI command) does not pay for it.
+sub-blocks of at most ``_BLOCK_VALUES`` uniforms (16 MiB of float64) that
+are, bit for bit, the rows of one whole-chunk draw: a chunk's memory stays
+bounded whatever n is.  A call whose work (trials x draws) is below
+``_PARALLEL_MIN_VALUES`` uniforms runs in-process, because starting a worker
+pool costs more than it saves there.  numpy is imported on first use, so
+importing the package (and every exact CLI command) does not pay for it.
 """
 
 from __future__ import annotations
@@ -63,14 +67,14 @@ __all__ = [
 # trials per vectorized chunk; part of the seeding contract, do not change
 CHUNK_TRIALS = 1 << 16
 
-# uniforms per row sub-block of a chunk (32 MiB of float64): a chunk's memory
-_BLOCK_VALUES = 1 << 22
+# uniforms per row sub-block of a chunk (16 MiB of float64): a chunk's memory
+_BLOCK_VALUES = 1 << 21
 # trials x draws below which a call runs its chunks in-process, without a
-# pool: measured on 2 CPUs with 131,072 trials, one process wins at 6.7e6
-# uniforms (serial 80-88 ms vs pool 92-97 ms) and a two-worker pool at 1.1e7
-# (130-145 vs 94-132 ms); from 8.1e6 to 9.7e6 the winner changes from run to
-# run with the pool's 30-70 ms start-up
-_PARALLEL_MIN_VALUES = 1 << 23
+# pool: measured on 2 CPUs with 131,072 trials, one process wins at 8.0e6
+# uniforms (serial 79-81 ms vs pool 84-157 ms) and a two-worker pool at
+# 1.3e7 (109-112 vs 118-125 ms); from 9.3e6 to 1.06e7 the winner changes
+# from run to run with the pool's start-up
+_PARALLEL_MIN_VALUES = 10 << 20
 
 _MAX_SEED = 1 << 64
 
@@ -167,15 +171,24 @@ def _mafia_chunk(
     """Histogram of the mafia count after ``days`` turns, one chunk of trials.
 
     Trial rows hold ``draws`` uniforms each; day ``day`` reads column ``day``
-    and lynches among the ``n - 2*day`` living players.
+    and lynches among the ``n - 2*day`` living players.  Each sub-block is
+    scaled in place by those counts (0 in the columns no day reads), cut to
+    lynch levels in the smallest unsigned dtype that holds m, and copied
+    transposed, so that each day reads one contiguous row of levels.
     """
     import numpy as np
 
+    level_type = np.min_scalar_type(m)
+    alive = np.zeros(draws)
+    alive[:days] = range(n, n - 2 * days, -2)
     counts = np.zeros(m + 1, dtype=np.int64)
     for uniforms in _blocks(seed, chunk_index, rows, draws):
-        mafia = np.full(len(uniforms), m, dtype=np.int64)
-        for day in range(days):
-            mafia -= uniforms[:, day] * (n - 2 * day) < mafia
+        np.multiply(uniforms, alive, out=uniforms)
+        levels = np.empty(uniforms.shape, level_type)
+        np.minimum(uniforms, m, out=levels, casting="unsafe")
+        mafia = np.full(len(levels), m, dtype=level_type)
+        for level_row in np.ascontiguousarray(levels[:, :days].T):
+            mafia -= level_row < mafia
         counts += np.bincount(mafia, minlength=m + 1)
     return counts
 
@@ -184,8 +197,10 @@ def _worker_count(threads: int | None, chunks: int) -> int:
     """Requested workers, capped by MAFIA_ODDS_THREADS (0 = auto) and chunk count.
 
     An empty MAFIA_ODDS_THREADS counts as unset; anything but a non-negative
-    integer raises ValueError.
+    integer, there or in ``threads``, raises ValueError.
     """
+    if threads is not None and threads < 0:
+        raise ValueError(f"threads must be a non-negative integer, got {threads!r}")
     if hasattr(os, "sched_getaffinity"):
         auto = len(os.sched_getaffinity(0))
     else:
@@ -250,9 +265,8 @@ def estimate_win_chance(
     independent of ``threads`` and of the MAFIA_ODDS_THREADS cap.
     """
     check_state(n, m)
-    # lynch while a lone mafioso has not won yet: at >= 2 players (strict) or
-    # >= 3 (ties); the row width n//2 + 1 is part of the seeding contract
-    days = n // 2 if boundary is BoundaryRule.STRICT_MAJORITY else (n - 1) // 2
+    days = boundary.lynch_days(n)
+    # the row width n//2 + 1 is part of the seeding contract
     counts = _count_mafia(n, m, days, n // 2 + 1, trials, seed, threads)
     wins = trials - int(counts[0])
     estimate = wins / trials

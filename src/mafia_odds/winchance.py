@@ -6,10 +6,10 @@ mafioso with probability m/n) and the mafia then kills a citizen by night, so
     w(n, m) = ((n - m)/n) w(n-2, m) + (m/n) w(n-2, m-1)
 
 with w = 0 once the mafia is extinct and w = 1 once the boundary rule declares
-a mafia win.  The closed form is 1 - p_0 at the endgame t = n//2, read
-from the one signed-binomial sum ``evolution.pm_closed``, and w(n, 1) is the
-i = 1 term of that sum; the asymptotic forms trade exactness for O(1)
-evaluation.
+a mafia win.  The closed form is 1 - p_0 at the endgame
+t = ``boundary.lynch_days(n)``, read from the one signed-binomial sum
+``evolution.pm_closed``, and w(n, 1) is the i = 1 term of that sum; the
+asymptotic forms trade exactness for O(1) evaluation.
 """
 
 from __future__ import annotations
@@ -124,16 +124,13 @@ def win_chance_closed(
 ) -> Fraction:
     """Exact w(n, m) as a closed sum, no recurrence.
 
-    w(n, m) = 1 - p_0(n//2) = 1 - sum_{i=0}^{m} C(m, i) (-1)^i
-    falling_product(n, n//2, i): the mafia wins unless it is extinct once
-    nobody is left to lynch.
-
-    Only valid under the strict-majority boundary; the tie rule has no known
-    closed form and is refused rather than silently mis-answered.
+    w(n, m) = 1 - p_0(d) = 1 - sum_{i=0}^{m} C(m, i) (-1)^i
+    falling_product(n, d, i) with d = ``boundary.lynch_days(n)``: the mafia
+    wins unless it is extinct after the last lynch that can still decide
+    the game, n//2 under the strict rule and (n-1)//2 under ties.  For odd n
+    the two agree, so both rules give the same w there.
     """
-    if boundary is not BoundaryRule.STRICT_MAJORITY:
-        raise ValueError("closed form is only derived for the strict-majority boundary")
-    return 1 - pm_closed(n, m, 0, n // 2)
+    return 1 - pm_closed(n, m, 0, boundary.lynch_days(n))
 
 
 def win_chance_leading_term(n: int, m: int) -> float:

@@ -64,15 +64,16 @@ def test_criterion_02_cross_method_equivalence():
     budget = 10.0
     start = time.perf_counter()
     mismatches = [
-        (n, m)
+        (n, m, boundary.value)
+        for boundary in BoundaryRule
         for n in range(0, 61)
         for m in range(0, n + 1)
-        if win_chance_closed(n, m) != win_chance_recurrence(n, m)
+        if win_chance_closed(n, m, boundary) != win_chance_recurrence(n, m, boundary)
     ]
     checked = sum(n + 1 for n in range(0, 61))
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < budget
-    _report(2, ok, f"closed form equals recurrence on all {checked} states with n <= 60", elapsed, budget)
+    _report(2, ok, f"closed form equals recurrence on all {checked} states with n <= 60, both rules", elapsed, budget)
     assert ok, f"mismatches: {mismatches[:5]}, elapsed {elapsed:.2f}s"
 
 

@@ -70,13 +70,17 @@ class TestWinchanceCommand:
         proc = run_cli("winchance", "-n", "5", "-m", "1", "--method", "magic")
         assert proc.returncode == 2
 
-    def test_closed_form_with_tie_boundary_exits_1(self):
-        proc = run_cli(
-            "winchance", "-n", "5", "-m", "1", "--method", "closed",
-            "--boundary", "ties",
-        )
-        assert proc.returncode == 1
-        assert b"strict" in proc.stderr
+    def test_closed_form_with_tie_boundary_prints_the_recurrence_bytes(self):
+        for n, m in [(0, 0), (4, 2), (5, 1), (40, 7)]:
+            closed, recurrence = (
+                run_cli(
+                    "winchance", "-n", str(n), "-m", str(m), "--method", method,
+                    "--boundary", "ties",
+                )
+                for method in ("closed", "recurrence")
+            )
+            assert closed.returncode == recurrence.returncode == 0, (n, m)
+            assert closed.stdout == recurrence.stdout, (n, m)
 
     def test_tie_boundary_recurrence_works(self):
         proc = run_cli("winchance", "-n", "4", "-m", "2", "--boundary", "ties")

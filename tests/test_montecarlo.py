@@ -137,6 +137,11 @@ class TestEstimateWinChance:
         with pytest.raises(ValueError, match=re.escape(message)):
             estimate_win_chance(9, 2, STRICT, 10, seed=9)
 
+    def test_negative_threads_is_refused(self):
+        message = "threads must be a non-negative integer, got -3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimate_win_chance(9, 2, STRICT, 10, seed=0, threads=-3)
+
     def test_seed_changes_the_sample(self):
         a = estimate_win_chance(9, 1, STRICT, 10**4, seed=1)
         b = estimate_win_chance(9, 1, STRICT, 10**4, seed=2)
@@ -219,8 +224,25 @@ class TestKernelAgainstSimulateGame:
                 assert report.mafia_wins == wins, (n, m)
 
 
+def _float_day_loop(seed, chunk_index, rows, n, m, days, draws):
+    """Reference kernel: one whole-chunk draw, then one float test per day.
+
+    This is the day loop the lynch levels replaced: trial rows are read a
+    column at a time and a mafioso dies when u * (n - 2*day) < mafia.
+    """
+    import numpy as np
+
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
+    uniforms = np.random.Generator(np.random.PCG64(ss)).random((rows, draws))
+    mafia = np.full(rows, m, dtype=np.int64)
+    for day in range(days):
+        mafia -= uniforms[:, day] * (n - 2 * day) < mafia
+    return list(np.bincount(mafia, minlength=m + 1))
+
+
 class TestSubBlocks:
-    """Row sub-blocks are the rows of one whole-chunk draw, bit for bit."""
+    """Row sub-blocks are the rows of one whole-chunk draw, bit for bit, and
+    the chunk kernel gives the float day loop's histogram at any block size."""
 
     ROWS = 299  # no multiple of the 7, 8 or 10 rows a small block holds
 
@@ -243,36 +265,44 @@ class TestSubBlocks:
     @pytest.mark.parametrize("boundary", [STRICT, TIES])
     def test_win_chunk_ignores_the_block_size(self, monkeypatch, boundary):
         states = [(n, m) for n in range(0, 12) for m in range(n + 1)]
-        states += [(41, 5), (100, 9), (100, 100)]
+        # levels clipped at m (n > 255 > m), and m >= 256 in uint16 levels
+        states += [(41, 5), (100, 9), (100, 100), (1000, 15), (600, 255), (700, 256)]
+        states += [(300, 260), (513, 513)]
 
         def chunk(n, m):
-            days = n // 2 if boundary is STRICT else (n - 1) // 2
-            counts = montecarlo._mafia_chunk(n, 1, self.ROWS, n, m, days, n // 2 + 1)
-            return list(counts)
+            args = (n, 1, self.ROWS, n, m, boundary.lynch_days(n), n // 2 + 1)
+            return list(montecarlo._mafia_chunk(*args)), _float_day_loop(*args)
 
-        default = [chunk(n, m) for n, m in states]
         for n, m in states:
+            counts, reference = chunk(n, m)
+            assert counts == reference, (n, m)
             self._small_blocks(monkeypatch, n // 2 + 1)
-            assert chunk(n, m) == default[states.index((n, m))], (n, m)
+            assert chunk(n, m)[0] == reference, (n, m)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize(
-        "N,M,t", [(1, 0, 0), (1, 1, 0), (8, 2, 0), (8, 2, 3), (32, 4, 8), (60, 60, 0)]
+        "N,M,t",
+        [(1, 0, 0), (1, 1, 0), (8, 2, 0), (8, 2, 3), (32, 4, 8), (60, 60, 0)]
+        + [(8, 0, 4), (600, 300, 150), (2000, 300, 850)],
     )
     def test_distribution_chunk_ignores_the_block_size(self, monkeypatch, N, M, t):
-        default = montecarlo._mafia_chunk(2, 0, self.ROWS, N, M, t, max(t, 1))
+        args = (2, 0, self.ROWS, N, M, t, max(t, 1))
+        reference = _float_day_loop(*args)
+        assert list(montecarlo._mafia_chunk(*args)) == reference
         self._small_blocks(monkeypatch, max(t, 1))
-        blocked = montecarlo._mafia_chunk(2, 0, self.ROWS, N, M, t, max(t, 1))
-        assert list(blocked) == list(default)
+        assert list(montecarlo._mafia_chunk(*args)) == reference
 
     def test_chunk_memory_is_bounded(self):
         # one whole-chunk draw at n = 1000 would be 65,536 x 501 float64s, 263 MB
-        tracemalloc.start()
-        try:
-            estimate_win_chance(1000, 15, STRICT, CHUNK_TRIALS, 0, threads=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        pytest.importorskip("numpy")  # so the peak is the chunk's, not the import's
+        for n, boundary in [(1000, STRICT), (1001, TIES)]:
+            tracemalloc.start()
+            try:
+                estimate_win_chance(n, 15, boundary, CHUNK_TRIALS, 0, threads=1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 * 2**20, (n, boundary, peak)
 
 
 def _raise_on_pool(*args, **kwargs):

@@ -156,9 +156,17 @@ class TestClosedForm:
         assert win_chance_closed(9, 1) == Fraction(128, 315)
         assert win_chance_closed(0, 0) == 0
 
-    def test_refuses_tie_boundary(self):
-        with pytest.raises(ValueError):
-            win_chance_closed(4, 2, TIES)
+    @given(states)
+    def test_tie_boundary_equals_ladder_and_game_tree(self, state):
+        n, m = state
+        closed = win_chance_closed(n, m, TIES)
+        assert closed == win_chance_recurrence(n, m, TIES)
+        assert closed == brute_force_win_chance(n, m, TIES)
+
+    def test_tie_rule_changes_nothing_at_odd_n(self):
+        for n in range(1, 40, 2):
+            for m in range(n + 1):
+                assert win_chance_closed(n, m, TIES) == win_chance_closed(n, m), (n, m)
 
     def test_rejects_more_mafia_than_players(self):
         with pytest.raises(ValueError):
