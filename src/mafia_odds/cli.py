@@ -84,7 +84,7 @@ def _need_max_n(args: argparse.Namespace, low: int) -> None:
 
 def _exact(num: int, den: int) -> tuple[int, int, float]:
     """num/den in lowest terms, and its float (int / int rounds correctly)."""
-    if num == den:  # the n!! boundary cells padded onto table rows
+    if num == den:  # the n!! boundary cells of table rows
         return 1, 1, 1.0
     g = math.gcd(num, den)
     return num // g, den // g, num / den
@@ -282,7 +282,10 @@ def _fail(message: str, code: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     path = args.output
-    created = path is not None and not os.path.exists(path)
+    # a file this run creates is removed by its resolved name: removing the
+    # path of a dangling symlink would delete the link and keep its new target
+    target = None if path is None else os.path.realpath(path)
+    created = target is not None and not os.path.exists(target)
     if path is not None:
         # refuse an unwritable path before computing anything; appending
         # opens it for writing without touching an existing file's bytes
@@ -294,7 +297,7 @@ def main(argv=None) -> int:
         text = _emit(args.format, *args.handler(args))
     except BaseException as exc:
         if created:
-            os.remove(path)
+            os.remove(target)
         if not isinstance(exc, ValueError):
             raise
         return _fail(str(exc), 2 if isinstance(exc, _ArgumentError) else 1)

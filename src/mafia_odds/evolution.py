@@ -133,13 +133,14 @@ def pm_closed(N: int, M: int, m: int, t: int) -> Fraction:
 
 
 def mean_discrete(N: int, M: int, t: int) -> Fraction:
-    """Exact mean mafia count after t turns: M prod_{i<t} (N-2i-1)/(N-2i)."""
+    """Exact mean mafia count after t turns: M prod_{i<t} (N-2i-1)/(N-2i).
+
+    The product is ``falling_product(N, t, 1)``, the same one that
+    ``win_chance_single`` reads at t = N//2.
+    """
     check_initial(N, M)
     check_window(N, M, t)
-    value = Fraction(M)
-    for i in range(t):
-        value *= Fraction(N - 2 * i - 1, N - 2 * i)
-    return value
+    return M * falling_product(N, t, 1)
 
 
 def _survival(N: int, t: float) -> float:

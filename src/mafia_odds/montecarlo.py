@@ -217,37 +217,31 @@ def _worker_count(threads: int | None, chunks: int) -> int:
     return max(1, min(request, chunks))
 
 
-def _chunk_layout(trials: int) -> list[tuple[int, int]]:
-    full, rest = divmod(trials, CHUNK_TRIALS)
-    layout = [(j, CHUNK_TRIALS) for j in range(full)]
-    if rest:
-        layout.append((full, rest))
-    return layout
+def _count_mafia(
+    n: int, m: int, days: int, draws: int, trials: int, seed: int, threads: int | None
+) -> np.ndarray:
+    """Histogram of the mafia count after ``days`` turns over ``trials`` seeded games.
 
-
-def _map_chunks(fn, args_list, threads: int | None, values: int):
-    """Run ``fn`` over the chunks, in a pool only if ``values`` uniforms pay for it."""
-    workers = _worker_count(threads, len(args_list))
-    if workers == 1 or values < _PARALLEL_MIN_VALUES:
-        return [fn(*args) for args in args_list]
+    The chunks run in a worker pool only if ``trials * draws`` uniforms pay
+    for its start-up.
+    """
+    if not 0 <= seed < _MAX_SEED:
+        raise ValueError(f"seed must be a 64-bit value, got {seed}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    chunks = [
+        (seed, j, min(CHUNK_TRIALS, trials - start), n, m, days, draws)
+        for j, start in enumerate(range(0, trials, CHUNK_TRIALS))
+    ]
+    workers = _worker_count(threads, len(chunks))
+    if workers == 1 or trials * draws < _PARALLEL_MIN_VALUES:
+        return sum(_mafia_chunk(*chunk) for chunk in chunks)
     import multiprocessing
 
     import numpy  # noqa: F401 -- imported once here, forked workers inherit it
 
     with multiprocessing.Pool(workers) as pool:
-        return pool.starmap(fn, args_list)
-
-
-def _count_mafia(
-    n: int, m: int, days: int, draws: int, trials: int, seed: int, threads: int | None
-) -> np.ndarray:
-    """Histogram of the mafia count after ``days`` turns over ``trials`` seeded games."""
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must be a 64-bit value, got {seed}")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    args = [(seed, j, rows, n, m, days, draws) for j, rows in _chunk_layout(trials)]
-    return sum(_map_chunks(_mafia_chunk, args, threads, trials * draws))
+        return sum(pool.starmap(_mafia_chunk, chunks))
 
 
 def estimate_win_chance(

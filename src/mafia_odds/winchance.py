@@ -15,10 +15,9 @@ asymptotic forms trade exactness for O(1) evaluation.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain, islice, zip_longest
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .core import (
@@ -61,18 +60,21 @@ def _ladder(
         W(n, m) = (n - m) W(n-2, m) + m W(n-2, m-1),
 
     with W = 0 at m = 0 and W = n!! once the boundary rule gives the mafia
-    the game, which also answers transient states with m > n - 2.  A row
-    stops before its first boundary column (every later column is n!!) and
-    after column ``cap`` if one is given.  Only the previous row is kept.
+    the game, which also answers transient states with m > n - 2.  Every
+    row is complete: m = 0..n, or m = 0..cap if a cap is given, with n!!
+    filled in from its first boundary column on.  Only the previous row is
+    kept.
     """
-    dfact, row = 1, []
+    dfact, stay = 1, []
     for n in range(top % 2, top + 1, 2):
-        stay = row + [dfact]  # W(n-2, m) reads n-2's boundary value past its row
         dfact *= max(n, 1)  # 0!! = 1
-        last = boundary.first_win(n)
-        if cap is not None:
-            last = min(last, cap + 1)
+        width = n + 1 if cap is None else cap + 1
+        last = min(boundary.first_win(n), width)
         row = [0] + [(n - m) * stay[m] + m * stay[m - 1] for m in range(1, last)]
+        row += [dfact] * (width - last)
+        # the ladder's own copy, so the caller may keep or change the row;
+        # the strict step to n = 2 reads W(0, 1) = 0!! past n = 0's row
+        stay = row + [dfact]
         yield n, dfact, row
 
 
@@ -91,8 +93,7 @@ def win_chance_rows(
     evens = _ladder(max_n - parity, boundary)
     odds = _ladder(max_n - 1 + parity, boundary)
     for pair in zip_longest(evens, odds):
-        for n, dfact, row in filter(None, pair):
-            yield n, dfact, row + [dfact] * (n + 1 - len(row))
+        yield from filter(None, pair)
 
 
 def win_chance_recurrence(
@@ -102,7 +103,7 @@ def win_chance_recurrence(
     check_state(n, m)
     for _, dfact, row in _ladder(n, boundary, cap=m):
         pass
-    return Fraction(row[m] if m < len(row) else dfact, dfact)
+    return Fraction(row[m], dfact)
 
 
 def win_chance_single(n: int) -> Fraction:
@@ -232,17 +233,16 @@ def parity_ratio(k: int) -> Fraction:
 def optimal_mafia_from_row(dfact: int, row: list[int]) -> int:
     """The m whose w(n, m) = row[m]/n!! is closest to 1/2; ties go to smaller m.
 
-    ``row`` is a row of ``win_chance_rows`` (or of the ladder, cut at its
-    boundary column) and ``dfact`` its n!!; the gaps |2 row[m] - n!!| are
-    compared as integers.
+    ``row`` is a complete row of ``win_chance_rows`` or of the ladder and
+    ``dfact`` its n!!; the gaps |2 row[m] - n!!| are compared as integers.
     """
     best_m, best_gap = 0, dfact  # |2 w(n, 0) - 1| n!!
-    for m, value in enumerate(chain(islice(row, 1, None), [dfact]), start=1):
-        gap = abs(2 * value - dfact)
+    for m in range(1, len(row)):
+        gap = abs(2 * row[m] - dfact)
         if gap < best_gap:
             best_m, best_gap = m, gap
         # w(n, m) is nondecreasing in m, so once past 1/2 the gap only grows
-        if 2 * value >= dfact:
+        if 2 * row[m] >= dfact:
             break
     return best_m
 
@@ -267,8 +267,7 @@ def optimal_mafia_approx(n: int) -> float:
     are below the true ones of ``optimal_mafia_asymptotic``, so its gap to
     the exact optimum grows like sqrt(n).
     """
-    if operator.index(n) < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
+    check_approx_state(n, 0)
     return 0.5 * (math.pi / 2) ** (0.5 - (n % 2)) * math.sqrt(n)
 
 
@@ -279,8 +278,7 @@ def optimal_mafia_asymptotic(n: int) -> float:
     roots of the two parity laws, found by bisection; neither is fitted to
     the exact optimum.
     """
-    if operator.index(n) < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
+    check_approx_state(n, 0)
     return _HALF_ROOTS[n % 2] * math.sqrt(n)
 
 

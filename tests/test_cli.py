@@ -380,6 +380,17 @@ class TestOutputFile:
         assert cli.main([*argv, "--output", str(target)]) == code
         assert target.read_bytes() == b"earlier output\n"
 
+    @pytest.mark.parametrize("argv,code", FAILING)
+    def test_failed_command_keeps_a_dangling_symlink(self, tmp_path, argv, code):
+        link, target = tmp_path / "out.csv", tmp_path / "dir" / "target.csv"
+        target.parent.mkdir()
+        try:
+            link.symlink_to(target)
+        except (OSError, NotImplementedError) as exc:
+            pytest.skip(f"cannot create a symlink here: {exc}")
+        assert cli.main([*argv, "--output", str(link)]) == code
+        assert link.is_symlink() and not target.exists()
+
     def test_interrupted_command_propagates_and_leaves_no_new_file(
         self, tmp_path, monkeypatch
     ):

@@ -128,6 +128,14 @@ class TestPmContinuous:
     def test_halfway_value(self):
         assert math.isclose(pm_continuous(8, 2, 1, 3.0), 0.5, rel_tol=1e-12)
 
+    def test_more_mafia_than_started_has_probability_zero(self):
+        assert pm_continuous(32, 4, 5, 3.0) == 0.0
+
+    def test_rejects_negative_m(self):
+        for pm in (pm_closed, pm_continuous):
+            with pytest.raises(ValueError, match=r"^need m >= 0, got m=-1$"):
+                pm(32, 4, -1, 3)
+
     def test_rejects_time_outside_range(self):
         with pytest.raises(ValueError):
             pm_continuous(8, 2, 1, -0.1)
@@ -190,6 +198,11 @@ class TestIntegrateContinuous:
         dist = integrate_continuous(32, 4, 15.0, 1e-2)
         for m in range(5):
             assert abs(dist.probs[m] - pm_continuous(32, 4, m, 15.0)) < 1e-6
+
+    def test_mean_matches_the_closed_form(self):
+        assert integrate_continuous(32, 4, 0.0, 1e-3).mean == 4.0
+        dist = integrate_continuous(32, 4, 8.0, 1e-3)
+        assert abs(dist.mean - mean_continuous(32, 4, 8.0)) < 1e-12
 
     def test_conserves_mass(self):
         dist = integrate_continuous(32, 4, 15.0, 1e-2)

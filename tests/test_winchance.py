@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from mafia_odds.core import BoundaryRule, double_factorial
+from mafia_odds import winchance
+from mafia_odds.core import BoundaryRule, GameState, double_factorial
 from mafia_odds.winchance import (
     optimal_mafia_approx,
     optimal_mafia_asymptotic,
@@ -105,6 +106,12 @@ class TestRows:
             assert len(row) == n + 1
             assert all(isinstance(value, int) for value in row)
         assert list(win_chance_rows(0)) == [(0, 1, [0])]
+
+    def test_a_changed_row_leaves_later_rows_alone(self):
+        expected = list(win_chance_rows(12))
+        for (n, _, row), (_, _, want) in zip(win_chance_rows(12), expected):
+            assert row == want, n
+            row[:] = [0] * len(row)
 
     def test_rejects_negative_max_n(self):
         with pytest.raises(ValueError):
@@ -371,6 +378,33 @@ class TestMonotonicity:
         report = verify_monotonicity(20)
         assert report.max_n == 20
         assert report.violations == []
+
+    # each edit copies the value across one strict inequality, which then
+    # fails at exactly one state while the other four families still hold
+    BROKEN = [
+        ((5, 0), (5, 1), "w(n,m) > w(n,m-1)", GameState(5, 1)),
+        ((6, 1), (8, 1), "w(n+2,m) < w(n,m)", GameState(6, 1)),
+        ((8, 2), (6, 1), "w(n+2,m+1) > w(n,m)", GameState(6, 1)),
+        ((7, 2), (6, 2), "w(n+1,m) > w(n,m), n even", GameState(6, 2)),
+        ((1, 0), (1, 1), "sandwich differences share a sign", GameState(3, 1)),
+    ]
+
+    @pytest.mark.parametrize("cell,source,label,state", BROKEN)
+    def test_each_family_reports_its_violation(
+        self, monkeypatch, cell, source, label, state
+    ):
+        w = {
+            (n, m): Fraction(value, dfact)
+            for n, dfact, row in win_chance_rows(8)
+            for m, value in enumerate(row)
+        }
+        w[cell] = w[source]
+
+        def rows(max_n, boundary):
+            return ((n, 1, [w[n, m] for m in range(n + 1)]) for n in range(max_n + 1))
+
+        monkeypatch.setattr(winchance, "win_chance_rows", rows)
+        assert verify_monotonicity(6).violations == [(label, state)]
 
     def test_the_ninth_player_helps_the_lone_mafioso(self):
         assert win_chance_recurrence(9, 1) > win_chance_recurrence(8, 1)
