@@ -10,8 +10,10 @@ Output contract (versioned; tests pin it):
   emitters), stable key order, full round-trip floats, exact values as
   "_num"/"_den" integer fields with null where not applicable.  The bytes
   are those of ``json.dumps(records, indent=2)``.  Each command declares
-  its field names once and emits rows of values in that order, so an array
-  is encoded in one C-encoder call and laid out by one per-row template.
+  its field names once and yields rows of values in that order; each batch
+  of rows is encoded in one C-encoder call and laid out by one per-row
+  template, so a command holds about its output's size in memory.  The
+  whole output is rendered before anything is written.
 
 Exit codes: 0 success, 1 computation-domain error (e.g. an evolution time
 outside the validity window, or a malformed MAFIA_ODDS_THREADS), 2 argument
@@ -27,6 +29,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import evolution, montecarlo, winchance
 from .core import BoundaryRule, check_state
@@ -41,32 +44,39 @@ class _ArgumentError(ValueError):
 # the CSV cell of each value type a row holds
 _CELL = {type(None): lambda _: "", float: "{:.12g}".format, int: str, str: str}
 
+_BATCH = 4096  # rows turned into one piece of text, so one batch's values are held
 
-def _emit(fmt: str, fields: tuple[str, ...], rows, width: int | None = None) -> str:
-    """Render a handler's rows: JSON objects keyed by ``fields``, or CSV.
 
-    ``rows`` is one tuple (winchance, simulate) or a list of tuples of
+def _emit(fmt: str, fields: tuple[str, ...], rows, width: int | None = None):
+    """Yield a handler's rows as pieces of text: JSON objects keyed by ``fields``, or CSV.
+
+    ``rows`` is one tuple (winchance, simulate) or an iterable of tuples of
     scalars, each in the order of ``fields``.  CSV writes the first
     ``width`` fields of each row, all of them by default.
     """
+    if isinstance(rows, tuple):
+        if fmt == "json":
+            yield json.dumps(dict(zip(fields, rows)), indent=2) + "\n"
+            return
+        rows = [rows]
+    rows = iter(rows)
+    batches = iter(lambda: list(islice(rows, _BATCH)), [])
     if fmt == "json":
-        if isinstance(rows, tuple):
-            return json.dumps(dict(zip(fields, rows)), indent=2) + "\n"
-        if not rows:
-            return "[]\n"
-        # indent=2 would take the pure-Python encoder; the C one encodes the
-        # flat values, and JSON escapes "\n" inside strings, so it splits them
-        values = json.dumps([v for row in rows for v in row], separators=("\n", ":"))
-        values = tuple(values[1:-1].split("\n"))
+        # indent=2 would take the pure-Python encoder; the C one encodes a
+        # batch's flat values, and JSON escapes "\n" inside strings, so it splits them
         keys = [json.dumps(key).replace("%", "%%") for key in fields]
         record = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-        return "[\n" + ",\n".join([record] * len(rows)) % values + "\n]\n"
-    if isinstance(rows, tuple):
-        rows = [rows]
-    lines = [",".join(fields[:width])]
-    for row in rows:
-        lines.append(",".join([_CELL[type(v)](v) for v in row[:width]]))
-    return "\n".join(lines) + "\n"
+        lead = "[\n"
+        for batch in batches:
+            values = json.dumps([v for row in batch for v in row], separators=("\n", ":"))
+            yield lead + ",\n".join([record] * len(batch)) % tuple(values[1:-1].split("\n"))
+            lead = ",\n"
+        yield "[]\n" if lead == "[\n" else "\n]\n"
+        return
+    yield ",".join(fields[:width]) + "\n"
+    for batch in batches:
+        lines = [",".join([_CELL[type(v)](v) for v in row[:width]]) for row in batch]
+        yield "\n".join(lines) + "\n"
 
 
 def _state(args: argparse.Namespace) -> tuple[int, int]:
@@ -113,24 +123,26 @@ def cmd_winchance(args: argparse.Namespace):
 def cmd_table(args: argparse.Namespace):
     _need_max_n(args, 1)
     boundary = BoundaryRule(args.boundary)
-    rows = [
+    rows = (
         (n, m, *_exact(value, dfact))
         for n, dfact, row in winchance.win_chance_rows(args.max_n, boundary)
         if n >= 1
         for m, value in enumerate(row)
-    ]
+    )
     return _W_FIELDS, rows
+
+
+def _single_mafia_rows(max_n: int):
+    below, dfact = 1, 1  # (n-1)!! and n!! at n = 0; w(n, 1) = (n-1)!!/n!!
+    for n in range(1, max_n + 1):
+        below, dfact = dfact, n * below
+        yield n, *_exact(below, dfact), winchance.win_chance_asymptotic(n, 1)
 
 
 def cmd_single_mafia(args: argparse.Namespace):
     _need_max_n(args, 1)
-    rows = []
-    below, dfact = 1, 1  # (n-1)!! and n!! at n = 0; w(n, 1) = (n-1)!!/n!!
-    for n in range(1, args.max_n + 1):
-        below, dfact = dfact, n * below
-        rows.append((n, *_exact(below, dfact), winchance.win_chance_asymptotic(n, 1)))
     fields = ("n", "w_exact_num", "w_exact_den", "w_exact_float", "approx_parity_aware")
-    return fields, rows
+    return fields, _single_mafia_rows(args.max_n)
 
 
 def _evolve_discrete_rows(N: int, M: int, t_max: int):
@@ -147,8 +159,7 @@ def _evolve_continuous_rows(N: int, M: int, t_max: float, spu: int):
     # N/2 is still refused, and a negative t_max still gives no sample
     for j in range(math.floor(min(max(t_max, -1.0), N) * spu) + 1):
         t = j / spu
-        for m in range(M + 1):
-            p = evolution.pm_continuous(N, M, m, t)
+        for m, p in enumerate(evolution._pm_row(N, M, t, range(M + 1))):
             yield "continuous", "p", t, m, p, None, None
         mean = evolution.mean_continuous(N, M, t)
         yield "continuous", "mean", t, None, mean, None, None
@@ -166,21 +177,22 @@ def cmd_evolve(args: argparse.Namespace):
     if args.mode in ("discrete", "both"):
         # default: sweep the whole validity window
         t_max = (N - M) // 2 if args.t_max is None else math.floor(args.t_max)
-        rows.extend(_evolve_discrete_rows(N, M, t_max))
+        rows.append(_evolve_discrete_rows(N, M, t_max))
     if args.mode in ("continuous", "both"):
         t_max = N / 2 if args.t_max is None else args.t_max
-        rows.extend(_evolve_continuous_rows(N, M, t_max, args.samples_per_unit))
+        rows.append(_evolve_continuous_rows(N, M, t_max, args.samples_per_unit))
     # CSV keeps the first five fields; the exact pair is JSON-only
-    return ("mode", "kind", "t", "m", "value", "value_num", "value_den"), rows, 5
+    fields = ("mode", "kind", "t", "m", "value", "value_num", "value_den")
+    return fields, chain.from_iterable(rows), 5
 
 
 def cmd_optimal(args: argparse.Namespace):
     _need_max_n(args, 2)
-    rows = [
+    rows = (
         (n, winchance.optimal_mafia_from_row(dfact, row), winchance.optimal_mafia_approx(n))
         for n, dfact, row in winchance.win_chance_rows(args.max_n)
         if n >= 2
-    ]
+    )
     return ("n", "m_opt_numeric", "m_opt_approx"), rows
 
 
@@ -294,7 +306,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             return _fail(f"cannot write --output {path}: {exc.strerror}", 2)
     try:
-        text = _emit(args.format, *args.handler(args))
+        # render everything before writing, so a failure writes nothing
+        pieces = list(_emit(args.format, *args.handler(args)))
     except BaseException as exc:
         if created:
             os.remove(target)
@@ -302,11 +315,11 @@ def main(argv=None) -> int:
             raise
         return _fail(str(exc), 2 if isinstance(exc, _ArgumentError) else 1)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return 0
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         return _fail(f"cannot write --output {path}: {exc.strerror}", 2)
     return 0

@@ -17,7 +17,7 @@ Runge-Kutta integrator as an independent numerical check.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -159,10 +159,15 @@ def pm_continuous(N: int, M: int, m: int, t: float) -> float:
     check_initial(N, M)
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")
+    row = _pm_row(N, M, t, (m,) if m <= M else ())
+    return row[0] if row else 0.0
+
+
+def _pm_row(N: int, M: int, t: float, ms: Iterable[int]) -> list[float]:
+    """``pm_continuous(N, M, m, t)`` for each m in ``ms`` (all m <= M), one s for all."""
     s = _survival(N, t)
-    if m > M:
-        return 0.0
-    return math.comb(M, m) * (1.0 - s) ** (M - m) * s**m
+    r = 1.0 - s
+    return [math.comb(M, m) * r ** (M - m) * s**m for m in ms]
 
 
 def peak_time(N: int, M: int, m: int) -> float:

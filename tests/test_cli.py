@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -434,13 +435,81 @@ class TestEmitJson:
     def test_record_lists_match_the_indented_encoder(self, records):
         fields, rows = records
         expected = json.dumps([dict(zip(fields, row)) for row in rows], indent=2)
-        assert cli._emit("json", fields, rows) == expected + "\n"
+        assert "".join(cli._emit("json", fields, rows)) == expected + "\n"
 
     def test_a_single_record_and_no_records(self):
         record = {"n": 9, "w_num": 1 << 3000, "w_float": -0.0, "note": "\u00e9\n"}
         expected = json.dumps(record, indent=2) + "\n"
-        assert cli._emit("json", tuple(record), tuple(record.values())) == expected
-        assert cli._emit("json", ("n",), []) == "[]\n"
+        assert "".join(cli._emit("json", tuple(record), tuple(record.values()))) == expected
+        assert "".join(cli._emit("json", ("n",), [])) == "[]\n"
+
+    # the records of one array cross batch boundaries, and rows come lazily
+    @pytest.mark.parametrize("batch", [1, 2])
+    @given(records=_records())
+    def test_batches_join_into_the_indented_encoder(self, batch, records):
+        fields, rows = records
+        expected = json.dumps([dict(zip(fields, row)) for row in rows], indent=2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BATCH", batch)
+            pieces = list(cli._emit("json", fields, iter(rows)))
+            empty = "".join(cli._emit("json", fields, iter(())))
+        assert "".join(pieces) == expected + "\n"
+        assert len(pieces) == -(-len(rows) // batch) + 1
+        assert empty == "[]\n"
+
+
+class TestEmitCsv:
+    FIELDS = ("n", "m", "x", "s", "big")
+    ROWS = [(1, None, 0.1, "a", 1 << 70), (2, 3, -0.0, "", 5), (3, None, 1e-300, "b", -7)]
+
+    @pytest.mark.parametrize("batch", [1, 2, 4096])
+    @pytest.mark.parametrize(
+        "width,expected",
+        [
+            (None, f"n,m,x,s,big\n1,,0.1,a,{1 << 70}\n2,3,-0,,5\n3,,1e-300,b,-7\n"),
+            (3, "n,m,x\n1,,0.1\n2,3,-0\n3,,1e-300\n"),
+        ],
+        ids=["all-fields", "width-3"],
+    )
+    def test_batches_join_into_one_line_per_row(self, monkeypatch, batch, width, expected):
+        monkeypatch.setattr(cli, "_BATCH", batch)
+        assert "".join(cli._emit("csv", self.FIELDS, iter(self.ROWS), width)) == expected
+
+    def test_a_single_row_and_no_rows(self):
+        assert "".join(cli._emit("csv", self.FIELDS, self.ROWS[1])) == "n,m,x,s,big\n2,3,-0,,5\n"
+        assert "".join(cli._emit("csv", self.FIELDS, iter(()), 2)) == "n,m\n"
+
+
+class TestLargeOutput:
+    # fails at t = 200.125, the first sample past N/2, after 51,232 rows
+    LATE_FAILURE = ["evolve", "-n", "400", "-m", "30", "--mode", "continuous", "--t-max", "300"]
+    MESSAGE = "mafia-odds: need 0 <= t <= N/2, got N=400, t=200.125\n"
+
+    def test_a_failure_after_the_first_batch_writes_nothing(self, tmp_path, capsys):
+        assert cli.main(self.LATE_FAILURE) == 1
+        assert capsys.readouterr() == ("", self.MESSAGE)
+        new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
+        existing.write_bytes(b"earlier output\n")
+        for target in (new, existing):
+            assert cli.main([*self.LATE_FAILURE, "--output", str(target)]) == 1
+            assert capsys.readouterr() == ("", self.MESSAGE)
+        assert not new.exists()
+        assert existing.read_bytes() == b"earlier output\n"
+
+    def test_memory_follows_the_output(self, tmp_path):
+        # each batch is rendered to text as it completes, so the traced peak
+        # stays near the size of the text rather than a multiple of it
+        target = tmp_path / "evolve.json"
+        argv = ["evolve", "-n", "400", "-m", "30", "--mode", "continuous", "--format", "json"]
+        tracemalloc.start()
+        try:
+            assert cli.main([*argv, "--output", str(target)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = target.stat().st_size
+        assert written > 8_000_000
+        assert peak < 2 * written
 
 
 # a small run of every command: its JSON objects share one key order, and
