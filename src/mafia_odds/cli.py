@@ -294,25 +294,23 @@ def _fail(message: str, code: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     path = args.output
-    # a file this run creates is removed by its resolved name: removing the
-    # path of a dangling symlink would delete the link and keep its new target
-    target = None if path is None else os.path.realpath(path)
-    created = target is not None and not os.path.exists(target)
     if path is not None:
-        # refuse an unwritable path before computing anything; appending
-        # opens it for writing without touching an existing file's bytes
+        # refuse an unwritable path before computing anything; appending opens
+        # it for writing without touching an existing file's bytes, and a file
+        # the probe creates is removed at once by its resolved name: removing
+        # the path of a dangling symlink would delete the link
+        target = os.path.realpath(path)
+        existed = os.path.exists(target)
         try:
             open(path, "a").close()
         except OSError as exc:
             return _fail(f"cannot write --output {path}: {exc.strerror}", 2)
+        if not existed:
+            os.remove(target)
     try:
         # render everything before writing, so a failure writes nothing
         pieces = list(_emit(args.format, *args.handler(args)))
-    except BaseException as exc:
-        if created:
-            os.remove(target)
-        if not isinstance(exc, ValueError):
-            raise
+    except ValueError as exc:
         return _fail(str(exc), 2 if isinstance(exc, _ArgumentError) else 1)
     if path is None:
         sys.stdout.writelines(pieces)

@@ -37,7 +37,10 @@ sub-blocks of at most ``_BLOCK_VALUES`` uniforms (16 MiB of float64) that
 are, bit for bit, the rows of one whole-chunk draw: a chunk's memory stays
 bounded whatever n is.  A call whose work (trials x draws) is below
 ``_PARALLEL_MIN_VALUES`` uniforms runs in-process, because starting a worker
-pool costs more than it saves there.  numpy is imported on first use, so
+pool costs more than it saves there.  Above it the pool has the fewest
+workers of four limits, each of which can only lower the count: the CPUs
+the process may run on, ``threads``, MAFIA_ODDS_THREADS and the chunk
+count.  numpy is imported on first use, so
 importing the package (and every exact CLI command) does not pay for it.
 """
 
@@ -194,27 +197,22 @@ def _mafia_chunk(
 
 
 def _worker_count(threads: int | None, chunks: int) -> int:
-    """Requested workers, capped by MAFIA_ODDS_THREADS (0 = auto) and chunk count.
+    """The fewest of: CPUs, ``threads``, MAFIA_ODDS_THREADS and ``chunks``.
 
-    An empty MAFIA_ODDS_THREADS counts as unset; anything but a non-negative
+    ``threads`` None or 0, and MAFIA_ODDS_THREADS empty, unset or 0, mean
+    one worker per CPU the process may run on; anything but a non-negative
     integer, there or in ``threads``, raises ValueError.
     """
     if threads is not None and threads < 0:
         raise ValueError(f"threads must be a non-negative integer, got {threads!r}")
+    cap = os.environ.get("MAFIA_ODDS_THREADS", "")
+    if cap and not cap.isdecimal():
+        raise ValueError(f"MAFIA_ODDS_THREADS must be a non-negative integer, got {cap!r}")
     if hasattr(os, "sched_getaffinity"):
-        auto = len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     else:
-        auto = os.cpu_count() or 1
-    request = threads or auto
-    cap_env = os.environ.get("MAFIA_ODDS_THREADS", "")
-    if cap_env:
-        if not cap_env.isdecimal():
-            raise ValueError(
-                f"MAFIA_ODDS_THREADS must be a non-negative integer, got {cap_env!r}"
-            )
-        cap = int(cap_env)
-        request = min(request, auto if cap == 0 else cap)
-    return max(1, min(request, chunks))
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, threads or cpus, int(cap or 0) or cpus, chunks))
 
 
 def _count_mafia(

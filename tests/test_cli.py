@@ -221,6 +221,12 @@ class TestEvolveCommand:
             f"mafia-odds: need 0 <= t <= N/2, got N=4, t={first_invalid}\n"
         )
 
+    def test_zero_samples_per_unit_exits_2(self):
+        proc = run_cli("evolve", "-n", "8", "-m", "2", "--samples-per-unit", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == "mafia-odds: need --samples-per-unit >= 1, got 0\n"
+
     def test_discrete_rows_match_the_library(self):
         proc = run_cli(
             "evolve", "-n", "12", "-m", "3", "--mode", "discrete", "--format", "json"
@@ -391,6 +397,21 @@ class TestOutputFile:
             pytest.skip(f"cannot create a symlink here: {exc}")
         assert cli.main([*argv, "--output", str(link)]) == code
         assert link.is_symlink() and not target.exists()
+
+    def test_no_placeholder_exists_while_the_command_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        target = tmp_path / "table.csv"
+        seen = []
+
+        def kernel(*args):
+            seen.append(target.exists())
+            raise ValueError("the kernel failed")
+
+        monkeypatch.setattr(winchance, "win_chance_rows", kernel)
+        assert cli.main(["table", "--max-n", "5", "--output", str(target)]) == 1
+        assert seen == [False]
+        assert capsys.readouterr().err == "mafia-odds: the kernel failed\n"
 
     def test_interrupted_command_propagates_and_leaves_no_new_file(
         self, tmp_path, monkeypatch

@@ -97,6 +97,10 @@ class TestPmClosed:
         with pytest.raises(ValueError):
             pm_closed(4, 2, 0, 3)
 
+    def test_negative_time_is_refused(self):
+        with pytest.raises(ValueError, match=r"^need 0 <= 2t <= N, got N=8, t=-1$"):
+            pm_closed(8, 2, 3, -1)
+
     @given(st.data())
     def test_matches_stepwise_evolution(self, data):
         N, M = data.draw(initial_states)
@@ -192,6 +196,12 @@ class TestIntegrateContinuous:
     def test_zero_time_returns_the_point_mass(self):
         dist = integrate_continuous(32, 4, 0.0, 1e-3)
         assert dist.probs == (0.0, 0.0, 0.0, 0.0, 1.0)
+
+    def test_an_end_time_below_half_a_step_still_takes_one_step(self):
+        # t_end < step/2 rounds to no steps; one step of t_end is taken instead
+        dist = integrate_continuous(32, 4, 1e-4, 1e-3)
+        for m in range(5):
+            assert abs(dist.probs[m] - pm_continuous(32, 4, m, 1e-4)) < 1e-12
 
     def test_agrees_with_closed_form(self):
         # RK4 global error scales as step^4; 1e-2 already lands near 1e-9

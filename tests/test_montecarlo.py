@@ -323,6 +323,8 @@ class TestWorkerPool:
 
         monkeypatch.setattr(montecarlo, "_PARALLEL_MIN_VALUES", 0)
         monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+        # two CPUs whatever the host has, so threads=2 asks for Pool(2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         return calls
 
     def test_forced_fan_out_matches_serial_win_chance(self, pool_calls):
@@ -350,3 +352,36 @@ class TestWorkerPool:
         assert montecarlo._worker_count(None, 2) == 1
         monkeypatch.setenv("MAFIA_ODDS_THREADS", "0")
         assert montecarlo._worker_count(None, 2) == 1
+
+    # each limit can only lower the count; none of these starts a process
+    @pytest.mark.parametrize(
+        "cpus,cap,threads,chunks,expected",
+        [
+            (2, None, 10**4, 15_259, 2),  # threads above the CPUs
+            (8, None, None, 3, 3),  # fewer chunks than CPUs
+            (2, "64", 8, 100, 2),  # a cap above the CPUs
+            (8, "3", 5, 100, 3),
+            (8, "0", 5, 100, 5),
+            (8, "", 0, 100, 8),
+        ],
+    )
+    def test_worker_count_is_the_fewest_of_its_limits(
+        self, monkeypatch, cpus, cap, threads, chunks, expected
+    ):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+        if cap is None:
+            monkeypatch.delenv("MAFIA_ODDS_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MAFIA_ODDS_THREADS", cap)
+        assert montecarlo._worker_count(threads, chunks) == expected
+
+    @pytest.mark.parametrize("count,expected", [(3, 3), (None, 1)])
+    def test_worker_count_without_affinity_reads_the_cpu_count(
+        self, monkeypatch, count, expected
+    ):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        monkeypatch.delenv("MAFIA_ODDS_THREADS", raising=False)
+        assert montecarlo._worker_count(8, 100) == expected
