@@ -296,17 +296,19 @@ def main(argv=None) -> int:
     path = args.output
     if path is not None:
         # refuse an unwritable path before computing anything; appending opens
-        # it for writing without touching an existing file's bytes, and a file
-        # the probe creates is removed at once by its resolved name: removing
-        # the path of a dangling symlink would delete the link
-        target = os.path.realpath(path)
-        existed = os.path.exists(target)
+        # it for writing without touching an existing file's bytes. The path
+        # as given is checked, so a pipe such as /dev/stdout counts as existing.
+        # A file the probe creates is removed at once by its resolved name:
+        # removing the path of a dangling symlink would delete the link. A file
+        # another process creates between the check and the probe is removed
+        # too; the window is two system calls wide.
+        existed = os.path.exists(path)
         try:
             open(path, "a").close()
         except OSError as exc:
             return _fail(f"cannot write --output {path}: {exc.strerror}", 2)
         if not existed:
-            os.remove(target)
+            os.remove(os.path.realpath(path))
     try:
         # render everything before writing, so a failure writes nothing
         pieces = list(_emit(args.format, *args.handler(args)))

@@ -398,6 +398,15 @@ class TestOutputFile:
         assert cli.main([*argv, "--output", str(link)]) == code
         assert link.is_symlink() and not target.exists()
 
+    @pytest.mark.skipif(
+        not os.path.exists("/dev/stdout"), reason="no /dev/stdout on this platform"
+    )
+    def test_a_pipe_target_gets_the_same_bytes_as_stdout(self):
+        streamed = run_cli("table", "--max-n", "5")
+        piped = run_cli("table", "--max-n", "5", "--output", "/dev/stdout")
+        assert piped.returncode == 0 and piped.stderr == b""
+        assert piped.stdout == streamed.stdout
+
     def test_no_placeholder_exists_while_the_command_runs(
         self, tmp_path, monkeypatch, capsys
     ):
