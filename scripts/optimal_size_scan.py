@@ -6,16 +6,13 @@ closest to 1/2, the paper's first-order formula
 the limit law of w(n, m) crosses 1/2, and the gap of each to the exact
 optimum.  One summary line per formula reports the largest gap and the share
 of n where it lands within one seat; the paper formula drifts at odd n.
+The exact optima come from ``optimal_mafia_rows``, whose ladders stop at the
+column isqrt(2 max_n) + 1 that each row provably crosses 1/2 by.
 """
 
 import argparse
 
-from mafia_odds import (
-    optimal_mafia_approx,
-    optimal_mafia_asymptotic,
-    optimal_mafia_from_row,
-    win_chance_rows,
-)
+from mafia_odds import optimal_mafia_approx, optimal_mafia_asymptotic, optimal_mafia_rows
 
 
 def _summary(name: str, diffs: list[float]) -> str:
@@ -34,10 +31,9 @@ def main() -> None:
 
     print("n,m_opt,approx,diff,asymptotic,asymptotic_diff")
     diffs, asymptotic_diffs = [], []
-    for n, dfact, row in win_chance_rows(args.max_n):
+    for n, numeric in optimal_mafia_rows(args.max_n):
         if n < args.min_n:
             continue
-        numeric = optimal_mafia_from_row(dfact, row)
         approx = optimal_mafia_approx(n)
         asymptotic = optimal_mafia_asymptotic(n)
         diffs.append(abs(approx - numeric))

@@ -133,10 +133,12 @@ def cmd_table(args: argparse.Namespace):
 
 
 def _single_mafia_rows(max_n: int):
-    below, dfact = 1, 1  # (n-1)!! and n!! at n = 0; w(n, 1) = (n-1)!!/n!!
+    num, den = 1, 1  # w(n-1, 1) in lowest terms, from w(0, 1) = 1
     for n in range(1, max_n + 1):
-        below, dfact = dfact, n * below
-        yield n, *_exact(below, dfact), winchance.win_chance_asymptotic(n, 1)
+        # w(n, 1) = den/(n num), and gcd(num, den) = 1 leaves only gcd(den, n)
+        g = math.gcd(den, n)
+        num, den = den // g, n // g * num
+        yield n, num, den, num / den, winchance.win_chance_asymptotic(n, 1)
 
 
 def cmd_single_mafia(args: argparse.Namespace):
@@ -189,8 +191,8 @@ def cmd_evolve(args: argparse.Namespace):
 def cmd_optimal(args: argparse.Namespace):
     _need_max_n(args, 2)
     rows = (
-        (n, winchance.optimal_mafia_from_row(dfact, row), winchance.optimal_mafia_approx(n))
-        for n, dfact, row in winchance.win_chance_rows(args.max_n)
+        (n, m, winchance.optimal_mafia_approx(n))
+        for n, m in winchance.optimal_mafia_rows(args.max_n)
         if n >= 2
     )
     return ("n", "m_opt_numeric", "m_opt_approx"), rows
@@ -292,6 +294,8 @@ def _fail(message: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7
+        sys.set_int_max_str_digits(0)  # exact cells print at any size
     args = _build_parser().parse_args(argv)
     path = args.output
     if path is not None:

@@ -14,10 +14,11 @@ asymptotic forms trade exactness for O(1) evaluation.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import zip_longest
 from typing import NamedTuple
 
 from .core import (
@@ -35,8 +36,8 @@ __all__ = [
     "MonotonicityReport",
     "optimal_mafia_approx",
     "optimal_mafia_asymptotic",
-    "optimal_mafia_from_row",
     "optimal_mafia_numeric",
+    "optimal_mafia_rows",
     "parity_ratio",
     "verify_monotonicity",
     "win_chance_asymptotic",
@@ -89,11 +90,12 @@ def win_chance_rows(
     """
     if max_n < 0:
         raise ValueError(f"need max_n >= 0, got max_n={max_n}")
-    parity = max_n % 2
-    evens = _ladder(max_n - parity, boundary)
-    odds = _ladder(max_n - 1 + parity, boundary)
-    for pair in zip_longest(evens, odds):
-        yield from filter(None, pair)
+    yield from _both_ladders(max_n, boundary)
+
+
+def _both_ladders(max_n: int, boundary: BoundaryRule, cap: int | None = None):
+    """The two parity ladders, merged into n = 0, 1, ..., max_n."""
+    return heapq.merge(_ladder(max_n, boundary, cap), _ladder(max_n - 1, boundary, cap))
 
 
 def win_chance_recurrence(
@@ -230,21 +232,30 @@ def parity_ratio(k: int) -> Fraction:
     return Fraction(even * even, odd * odd * (2 * k + 1))
 
 
-def optimal_mafia_from_row(dfact: int, row: list[int]) -> int:
-    """The m whose w(n, m) = row[m]/n!! is closest to 1/2; ties go to smaller m.
+def _closest_to_half(dfact: int, row: list[int]) -> int:
+    """The m whose w = row[m]/n!! is closest to 1/2; ties go to smaller m."""
+    # w rises with m and ends past 1/2: the first c with 2 row[c] >= n!!, or c - 1
+    c = bisect.bisect_left(row, (dfact + 1) // 2)
+    return c - (dfact - 2 * row[c - 1] <= 2 * row[c] - dfact)
 
-    ``row`` is a complete row of ``win_chance_rows`` or of the ladder and
-    ``dfact`` its n!!; the gaps |2 row[m] - n!!| are compared as integers.
+
+def optimal_mafia_rows(
+    max_n: int, boundary: BoundaryRule = BoundaryRule.STRICT_MAJORITY
+) -> Iterator[tuple[int, int]]:
+    """Yield (n, m_opt) for n = 1..max_n: the m in 0..n with w(n, m) closest to 1/2.
+
+    Ties go to smaller m.  The ladders stop at column isqrt(2 max_n) + 1,
+    which is safe: F_k = ``falling_product(n, boundary.lynch_days(n), k)``,
+    the chance that k given mafiosi survive every lynch, has F_2 <= F_1^2,
+    so by Bonferroni w(n, m) >= m F_1 - C(m, 2) F_1^2, which is >= 1/2 at
+    m = ceil(1/F_1) <= isqrt(2n) + 1, as F_1 >= 1/sqrt(2n) (Wallis).  Past
+    the 1/2 crossing w only grows, so no later m is fairer.
     """
-    best_m, best_gap = 0, dfact  # |2 w(n, 0) - 1| n!!
-    for m in range(1, len(row)):
-        gap = abs(2 * row[m] - dfact)
-        if gap < best_gap:
-            best_m, best_gap = m, gap
-        # w(n, m) is nondecreasing in m, so once past 1/2 the gap only grows
-        if 2 * row[m] >= dfact:
-            break
-    return best_m
+    if max_n < 0:
+        raise ValueError(f"need max_n >= 0, got max_n={max_n}")
+    for n, dfact, row in _both_ladders(max_n, boundary, math.isqrt(2 * max_n) + 1):
+        if n >= 1:
+            yield n, _closest_to_half(dfact, row)
 
 
 def optimal_mafia_numeric(
@@ -253,9 +264,10 @@ def optimal_mafia_numeric(
     """The m in 0..n whose exact w(n, m) is closest to 1/2; ties go to smaller m."""
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    for _, dfact, row in _ladder(n, boundary):
+    # n's parity ladder only, at the cap that ``optimal_mafia_rows`` proves
+    for _, dfact, row in _ladder(n, boundary, math.isqrt(2 * n) + 1):
         pass
-    return optimal_mafia_from_row(dfact, row)
+    return _closest_to_half(dfact, row)
 
 
 def optimal_mafia_approx(n: int) -> float:

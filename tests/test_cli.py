@@ -510,6 +510,40 @@ class TestEmitCsv:
         assert "".join(cli._emit("csv", self.FIELDS, iter(()), 2)) == "n,m\n"
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+class TestDigitLimit:
+    """Exact cells print in full under the smallest int-to-str digit limit."""
+
+    # (argv, the n and m of the last record); each exact pair runs to ~900 digits
+    CASES = [
+        (["winchance", "-n", "3000", "-m", "3"], (3000, 3)),
+        (["winchance", "-n", "3000", "-m", "3", "--format", "json"], (3000, 3)),
+        (["single-mafia", "--max-n", "3000"], (3000, 1)),
+    ]
+
+    @pytest.mark.parametrize("argv,state", CASES, ids=[" ".join(a) for a, _ in CASES])
+    def test_exact_cells_print_past_the_limit(self, capsys, argv, state):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = cli.main(argv)
+        finally:
+            sys.set_int_max_str_digits(old)
+        out = capsys.readouterr().out
+        assert code == 0
+        if "json" in argv:
+            record = json.loads(out)
+        else:
+            header, *_, last = out.splitlines()
+            record = dict(zip(header.split(","), last.split(",")))
+        num, den = (int(v) for k, v in record.items() if k.endswith(("_num", "_den")))
+        exact = winchance.win_chance_recurrence(*state)
+        assert (num, den) == (exact.numerator, exact.denominator)
+        assert len(str(exact.denominator)) > 640
+
+
 class TestLargeOutput:
     # fails at t = 200.125, the first sample past N/2, after 51,232 rows
     LATE_FAILURE = ["evolve", "-n", "400", "-m", "30", "--mode", "continuous", "--t-max", "300"]

@@ -26,8 +26,8 @@ PUBLIC_NAMES = [
     "mean_discrete",
     "optimal_mafia_approx",
     "optimal_mafia_asymptotic",
-    "optimal_mafia_from_row",
     "optimal_mafia_numeric",
+    "optimal_mafia_rows",
     "parity_ratio",
     "peak_time",
     "pm_closed",

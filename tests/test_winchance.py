@@ -10,8 +10,8 @@ from mafia_odds.core import BoundaryRule, GameState, double_factorial
 from mafia_odds.winchance import (
     optimal_mafia_approx,
     optimal_mafia_asymptotic,
-    optimal_mafia_from_row,
     optimal_mafia_numeric,
+    optimal_mafia_rows,
     parity_ratio,
     verify_monotonicity,
     win_chance_asymptotic,
@@ -343,11 +343,27 @@ class TestOptimalMafia:
 
     @pytest.mark.parametrize("boundary", [STRICT, TIES])
     def test_row_scan_matches_single_query(self, boundary):
-        for n, dfact, row in win_chance_rows(60, boundary):
-            if n >= 1:
-                assert optimal_mafia_from_row(dfact, row) == optimal_mafia_numeric(
-                    n, boundary
-                ), n
+        # the first smallest gap |2 w - 1| n!! of each complete, uncapped row
+        expected = []
+        for n, dfact, row in win_chance_rows(400, boundary):
+            gaps = [abs(2 * value - dfact) for value in row]
+            expected.append((n, gaps.index(min(gaps))))
+        assert list(optimal_mafia_rows(400, boundary)) == expected[1:]
+        for n, m_opt in expected[1:201]:
+            assert optimal_mafia_numeric(n, boundary) == m_opt, n
+
+    @pytest.mark.parametrize("boundary", [STRICT, TIES])
+    def test_every_row_crosses_one_half_by_the_proven_cap(self, boundary):
+        # the column at which optimal_mafia_rows proves w(n, m) >= 1/2
+        for n, dfact, row in win_chance_rows(400, boundary):
+            cap = math.isqrt(2 * n) + 1
+            if cap <= n:
+                assert 2 * row[cap] >= dfact, n
+
+    def test_an_empty_sweep_and_a_negative_one(self):
+        assert list(optimal_mafia_rows(0)) == []
+        with pytest.raises(ValueError, match="max_n >= 0"):
+            list(optimal_mafia_rows(-1))
 
     def test_approx_reference_points(self):
         assert math.isclose(optimal_mafia_approx(100), 6.2666, rel_tol=1e-4)
