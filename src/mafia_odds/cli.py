@@ -16,9 +16,10 @@ Output contract (versioned; tests pin it):
   whole output is rendered before anything is written.
 
 Exit codes: 0 success, 1 computation-domain error (e.g. an evolution time
-outside the validity window, or a malformed MAFIA_ODDS_THREADS), 2 argument
-error (including a non-finite --t-max and an --output path that
-cannot be written, which is refused before anything is computed).
+outside the validity window, a malformed MAFIA_ODDS_THREADS, or an integer
+past float range where a float law needs it), 2 argument error (including a
+non-finite --t-max and an --output path that cannot be written, which is
+refused before anything is computed).
 """
 
 from __future__ import annotations
@@ -316,7 +317,7 @@ def main(argv=None) -> int:
     try:
         # render everything before writing, so a failure writes nothing
         pieces = list(_emit(args.format, *args.handler(args)))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         return _fail(str(exc), 2 if isinstance(exc, _ArgumentError) else 1)
     if path is None:
         sys.stdout.writelines(pieces)

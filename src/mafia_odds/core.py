@@ -96,22 +96,23 @@ class BoundaryRule(enum.Enum):
 
         Strict: 2m > n.  Ties: 2m >= n with m >= 1.
         """
-        if self is BoundaryRule.STRICT_MAJORITY:
+        if self is _STRICT:
             return n // 2 + 1
         return max(1, (n + 1) // 2)
 
     def lynch_days(self, n: int) -> int:
-        """Day lynches that decide a game from n players.
+        """Day lynches that decide a game from n players: ``first_win(n) - 1``.
 
-        The mafia wins exactly when a mafioso survives them: the town votes
-        on a lone mafioso while at least 2 players live (strict) or 3 (ties;
-        at (2, 1) the mafia has already won), and a mafia that holds its
-        winning share keeps it through every later turn.  Under ties n = 0
-        gives 0, not (0 - 1) // 2 = -1.
+        A full turn removes two players, so it lowers ``first_win`` by
+        exactly one until it reaches 1.  A lone mafioso has won once
+        ``first_win`` is 1, so it faces one lynch per turn before that; and a
+        mafia that holds its winning share keeps it through every later turn.
         """
-        if self is BoundaryRule.STRICT_MAJORITY:
-            return n // 2
-        return max(n - 1, 0) // 2
+        return self.first_win(n) - 1
+
+
+# a module global is read faster than a member looked up through the class
+_STRICT = BoundaryRule.STRICT_MAJORITY
 
 
 def _product(factors: range) -> int:

@@ -16,10 +16,11 @@ Two layers:
   differ from m/alive by at most 2^-52, far below any tolerance used here.
 
 One kernel, no per-trial bookkeeping.  The game is a pure death process: a
-full turn changes 2m - alive by 0 or +2, so once the mafia holds its winning
-share (m > alive/2, or m >= alive/2 under ties) it keeps it, with m >= 1,
-through every later turn; and m = 0 stays 0, since u * alive < 0 never
-holds.  The winner is therefore a function of the final mafia count alone.
+full turn lowers ``boundary.first_win(alive)`` by one (until it reaches 1)
+and m by at most one, so once the mafia holds its winning share,
+m >= first_win, it keeps it through every later turn; and m = 0 stays 0,
+since u * alive < 0 never holds.  The winner is therefore a function of the
+final mafia count alone.
 :func:`_mafia_chunk` runs nothing but the lynch step for a fixed number of
 days and returns the histogram of that count: ``boundary.lynch_days(n)``
 days for :func:`estimate_win_chance`, which counts every trial with m > 0 as
@@ -133,21 +134,16 @@ def simulate_game(
     """
     check_state(n, m)
     states = [GameState(n, m)]
-    while True:
-        if m == 0:
-            return Trajectory(tuple(states), Winner.CITIZENS)
-        if boundary.mafia_wins(n, m):
-            return Trajectory(tuple(states), Winner.MAFIA)
+    while m and not boundary.mafia_wins(n, m):
         # day: lynch a uniformly random living player
         if rng.randrange(n) < m:
             m -= 1
         n -= 1
-        if m == 0 or boundary.mafia_wins(n, m):
-            states.append(GameState(n, m))
-            continue
-        # night: the mafia kills a citizen
-        n -= 1
+        # night: the mafia kills a citizen, unless the lynch ended the game
+        if m and not boundary.mafia_wins(n, m):
+            n -= 1
         states.append(GameState(n, m))
+    return Trajectory(tuple(states), Winner.MAFIA if m else Winner.CITIZENS)
 
 
 def _blocks(seed: int, chunk_index: int, rows: int, draws: int) -> Iterator[np.ndarray]:

@@ -330,6 +330,26 @@ class TestSimulateCommand:
         assert proc.returncode == 2
 
 
+# an integer past float range reaches a float law, which raises OverflowError
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["winchance", "-n", str(10**400), "-m", "1", "--method", "asymptotic"],
+        ["winchance", "-n", str(10**400), "-m", "1", "--method", "continuous"],
+        ["evolve", "-n", str(10**400), "-m", "1", "--mode", "continuous", "--t-max", "0"],
+        ["evolve", "-n", "5", "-m", "1", "--mode", "continuous",
+         "--samples-per-unit", str(10**400)],
+    ],
+    ids=["asymptotic", "continuous", "evolve-n", "samples-per-unit"],
+)
+def test_an_integer_past_float_range_exits_1_with_one_line(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("mafia-odds: "), lines
+
+
 class TestOutputFile:
     def test_file_matches_stdout(self, tmp_path):
         target = tmp_path / "table.csv"

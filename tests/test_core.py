@@ -162,6 +162,8 @@ class TestBoundaryRule:
             for k in range(0, n + 3):
                 literal = 2 * k > n if strict else k > 0 and 2 * k >= n
                 assert rule.mafia_wins(n, k) == literal, (n, k)
+            assert rule.lynch_days(n) == m - 1, n
+            assert rule.lynch_days(n) == (n // 2 if strict else max(n - 1, 0) // 2), n
 
     def test_cli_facing_values(self):
         assert BoundaryRule("strict") is BoundaryRule.STRICT_MAJORITY

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import multiprocessing
 import os
@@ -62,6 +63,19 @@ class TestSimulateGame:
             assert last.m == 0
         else:
             assert boundary.mafia_wins(last.n, last.m)
+
+    def test_seeded_trajectories_are_pinned(self):
+        # every state with n <= 20 under both rules; the digest pins each
+        # recorded state and winner, and so the draws that led to them
+        played = []
+        for boundary in (STRICT, TIES):
+            for n in range(21):
+                for m in range(n + 1):
+                    traj = simulate_game(n, m, boundary, random.Random(1000 * n + m))
+                    played.append((traj.states, traj.winner.value))
+        assert hashlib.sha256(repr(played).encode()).hexdigest() == (
+            "62adbab457ea4341cad6643a4e8ed29e077277fbfc2a24674a61c79a8dc664c5"
+        )
 
     @pytest.mark.parametrize("n,m", [(4, 1), (9, 3), (10, 5)])
     def test_day_lynch_kills_mafia_at_rate_m_over_n(self, n, m):

@@ -261,6 +261,20 @@ class TestLimitLaw:
                 small, win_chance_recurrence
             )
 
+    def test_near_the_optimum_within_three_thousandths_at_ten_thousand(self):
+        # m = round(optimal) +- 3 only: the full m <= 2 sqrt(n) sweep takes ~5 s
+        def near_optimum_error(n):
+            centre = round(optimal_mafia_asymptotic(n))
+            return max(
+                abs(win_chance_limit(n, m) - float(win_chance_closed(n, m)))
+                for m in range(centre - 3, centre + 4)
+            )
+
+        for small, large in ((1600, 10**4), (1601, 10**4 + 1)):
+            error = near_optimum_error(large)
+            assert error < 0.003, large
+            assert error < near_optimum_error(small), large
+
     def test_half_roots_solve_their_law(self):
         # perfect squares of both parities, so m / sqrt(n) gives back c_p
         for n in (1, 4, 9, 16):
