@@ -160,11 +160,25 @@ def falling_product(N: int, t: int, i: int) -> Fraction:
     factors cross zero for odd ``i`` the product carries the sign, so no
     extension of !! to negative arguments is ever required.  Numerator and
     denominator are integer products; one ``Fraction`` normalises them.
+
+    For 1 < i < 2t the factors N - i ... N - 2t + 2 (N - 2t + 1 for odd i)
+    appear on both sides and are >= 1, so they cancel: an even i leaves
+    ``prod_{j < i/2} (N - 2t - 2j) / (N - 2j)``, and an odd i leaves
+    ``falling_product(N, t, 1)`` times
+    ``prod_{j < (i-1)/2} (N - 1 - 2t - 2j) / (N - 1 - 2j)``.
     """
     if N < 0 or t < 0 or i < 0:
         raise ValueError(f"need N, t, i >= 0, got N={N}, t={t}, i={i}")
     if 2 * t > N:
         raise ValueError(f"need 2t <= N, got N={N}, t={t}")
-    return Fraction(
-        _product(range(N - i, N - i - 2 * t, -2)), _product(range(N, N - 2 * t, -2))
+    if i == 1 or i >= 2 * t:
+        return Fraction(
+            _product(range(N - i, N - i - 2 * t, -2)), _product(range(N, N - 2 * t, -2))
+        )
+    if i % 2 == 0:
+        return Fraction(
+            _product(range(N - 2 * t, N - 2 * t - i, -2)), _product(range(N, N - i, -2))
+        )
+    return falling_product(N, t, 1) * Fraction(
+        _product(range(N - 1 - 2 * t, N - 2 * t - i, -2)), _product(range(N - 1, N - i, -2))
     )

@@ -34,15 +34,18 @@ the day loop over contiguous rows of levels counts what the float test
 would.
 
 Memory and workers.  PCG64 fills row-major, so a chunk is drawn in row
-sub-blocks of at most ``_BLOCK_VALUES`` uniforms (16 MiB of float64) that
-are, bit for bit, the rows of one whole-chunk draw: a chunk's memory stays
-bounded whatever n is.  A call whose work (trials x draws) is below
-``_PARALLEL_MIN_VALUES`` uniforms runs in-process, because starting a worker
-pool costs more than it saves there.  Above it the pool has the fewest
-workers of four limits, each of which can only lower the count: the CPUs
-the process may run on, ``threads``, MAFIA_ODDS_THREADS and the chunk
-count.  numpy is imported on first use, so
-importing the package (and every exact CLI command) does not pay for it.
+sub-blocks of at most ``_BLOCK_VALUES`` uniforms (1 MiB of float64) that
+are, bit for bit, the rows of one whole-chunk draw.  Each block is scaled
+and cut while it is still in cache, and its levels are copied transposed
+into a level group of about ``_LEVEL_VALUES`` one-byte levels, a whole
+number of blocks wide; the day loop runs once per group.  A chunk's memory
+(about 6 MiB) is therefore bounded whatever n is.  A call whose work (trials
+x draws) is below ``_PARALLEL_MIN_VALUES`` uniforms runs in-process, because
+starting a worker pool costs more than it saves there.  Above it the pool
+has the fewest workers of four limits, each of which can only lower the
+count: the CPUs the process may run on, ``threads``, MAFIA_ODDS_THREADS and
+the chunk count.  numpy is imported on first use, so importing the package
+(and every exact CLI command) does not pay for it.
 """
 
 from __future__ import annotations
@@ -71,13 +74,18 @@ __all__ = [
 # trials per vectorized chunk; part of the seeding contract, do not change
 CHUNK_TRIALS = 1 << 16
 
-# uniforms per row sub-block of a chunk (16 MiB of float64): a chunk's memory
-_BLOCK_VALUES = 1 << 21
+# uniforms per row sub-block of a chunk (1 MiB of float64, small enough to
+# stay in cache from draw through scale and cut)
+_BLOCK_VALUES = 1 << 17
+# lynch levels per level group (4 MiB of one-byte levels), the trials the
+# day loop runs over at once; with the block size, it sets a chunk's memory
+_LEVEL_VALUES = 1 << 22
 # trials x draws below which a call runs its chunks in-process, without a
-# pool: measured on 2 CPUs with 131,072 trials, one process wins at 8.0e6
-# uniforms (serial 79-81 ms vs pool 84-157 ms) and a two-worker pool at
-# 1.3e7 (109-112 vs 118-125 ms); from 9.3e6 to 1.06e7 the winner changes
-# from run to run with the pool's start-up
+# pool: measured on 2 CPUs with 131,072 trials (11 interleaved pairs each,
+# quartiles), one process wins 11 of 11 at 8.0e6 uniforms (55-63 ms vs pool
+# 81-102 ms) and a two-worker pool 8 of 11 at 1.85e7 (103-159 vs 132-254 ms);
+# from 9.3e6 to 1.59e7 the winner changes from run to run with the pool's
+# start-up
 _PARALLEL_MIN_VALUES = 10 << 20
 
 _MAX_SEED = 1 << 64
@@ -146,17 +154,22 @@ def simulate_game(
     return Trajectory(tuple(states), Winner.MAFIA if m else Winner.CITIZENS)
 
 
+def _block_rows(draws: int) -> int:
+    """Trial rows per sub-block of a chunk whose rows hold ``draws`` uniforms."""
+    return max(1, _BLOCK_VALUES // draws)
+
+
 def _blocks(seed: int, chunk_index: int, rows: int, draws: int) -> Iterator[np.ndarray]:
     """Yield chunk ``chunk_index``'s (rows, draws) uniforms as row sub-blocks.
 
-    Each block holds at most ``_BLOCK_VALUES`` values (at least one row) and
-    is a view of one reused buffer, valid until the next block is drawn.
+    Each block but the last holds ``_block_rows(draws)`` rows and is a view
+    of one reused buffer, valid until the next block is drawn.
     """
     import numpy as np
 
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     generator = np.random.Generator(np.random.PCG64(ss))
-    step = max(1, _BLOCK_VALUES // draws)
+    step = _block_rows(draws)
     buffer = np.empty((min(rows, step), draws))
     for start in range(0, rows, step):
         block = buffer[: min(step, rows - start)]
@@ -173,20 +186,31 @@ def _mafia_chunk(
     and lynches among the ``n - 2*day`` living players.  Each sub-block is
     scaled in place by those counts (0 in the columns no day reads), cut to
     lynch levels in the smallest unsigned dtype that holds m, and copied
-    transposed, so that each day reads one contiguous row of levels.
+    transposed into a level group of ``width`` trials, a whole number of
+    blocks, so that each day reads one contiguous row of the group.  The
+    day loop then runs once per group.
     """
     import numpy as np
 
     level_type = np.min_scalar_type(m)
     alive = np.zeros(draws)
     alive[:days] = range(n, n - 2 * days, -2)
+    step = _block_rows(draws)
+    width = max(step, _LEVEL_VALUES // max(days, 1) // step * step)
+    levels = np.empty((min(rows, step), draws), level_type)
+    by_day = np.empty((days, min(rows, width)), level_type)
     counts = np.zeros(m + 1, dtype=np.int64)
-    for uniforms in _blocks(seed, chunk_index, rows, draws):
-        np.multiply(uniforms, alive, out=uniforms)
-        levels = np.empty(uniforms.shape, level_type)
-        np.minimum(uniforms, m, out=levels, casting="unsafe")
-        mafia = np.full(len(levels), m, dtype=level_type)
-        for level_row in np.ascontiguousarray(levels[:, :days].T):
+    blocks = _blocks(seed, chunk_index, rows, draws)
+    for start in range(0, rows, width):
+        group = by_day[:, : min(width, rows - start)]
+        # zip asks the range first, so a group never takes the next one's block
+        for at, uniforms in zip(range(0, group.shape[1], step), blocks):
+            np.multiply(uniforms, alive, out=uniforms)
+            cut = levels[: len(uniforms)]
+            np.minimum(uniforms, m, out=cut, casting="unsafe")
+            group[:, at : at + len(cut)] = cut[:, :days].T
+        mafia = np.full(group.shape[1], m, dtype=level_type)
+        for level_row in group:
             mafia -= level_row < mafia
         counts += np.bincount(mafia, minlength=m + 1)
     return counts

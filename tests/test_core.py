@@ -89,6 +89,17 @@ class TestFallingProduct:
         # (4-3)/4 * (2-3)/2 = -1/8: odd i past the zero factor flips sign
         assert falling_product(4, 2, 3) == Fraction(-1, 8)
 
+    def test_telescoped_terms_equal_the_product_form(self):
+        # 1 < i < 2t cancels the shared factors; i past 2t and past N keeps
+        # the full product, zero and negative factors included
+        for N in range(61):
+            for t in range(N // 2 + 1):
+                denominator = math.prod(range(N, N - 2 * t, -2))
+                for i in range(N + 4):
+                    numerator = math.prod(range(N - i, N - i - 2 * t, -2))
+                    expected = Fraction(numerator, denominator)
+                    assert falling_product(N, t, i) == expected, (N, t, i)
+
     @given(
         st.integers(min_value=0, max_value=80),
         st.integers(min_value=0, max_value=40),

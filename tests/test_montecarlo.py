@@ -264,6 +264,9 @@ class TestSubBlocks:
     def _small_blocks(monkeypatch, draws):
         # 7 rows and 3 spare values per block: splits mid-chunk, ragged end
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 7 * draws + 3)
+        # three or more blocks per level group: the groups split mid-chunk
+        # too, and the last one ends in the ragged block
+        monkeypatch.setattr(montecarlo, "_LEVEL_VALUES", 28 * draws + 5)
 
     @pytest.mark.parametrize("draws", [1, 2, 6, 51])
     def test_blocks_are_the_rows_of_one_draw(self, monkeypatch, draws):
@@ -316,7 +319,7 @@ class TestSubBlocks:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 24 * 2**20, (n, boundary, peak)
+            assert peak < 8 * 2**20, (n, boundary, peak)
 
 
 def _raise_on_pool(*args, **kwargs):
