@@ -27,11 +27,14 @@ days for :func:`estimate_win_chance`, which counts every trial with m > 0 as
 a mafia win, and t days for :func:`estimate_distribution`.  A trial whose
 game ended earlier still has its later uniforms drawn, but they cannot
 change its winner, so every per-trial stream, and the seeding contract, is
-unchanged.  The kernel turns each uniform into a lynch level
-min(floor(u * alive), m), a small unsigned integer; for an integer count
-mafia <= m, u * alive < mafia exactly when the level is below mafia, so
-the day loop over contiguous rows of levels counts what the float test
-would.
+unchanged.  A game decided before the first lynch (m = 0, or m >=
+first_win(n)), like a distribution at t = 0, needs no day at all: every
+trial ends at m, so that histogram is returned without drawing a uniform,
+after the same argument checks as any other call.  The kernel turns each
+uniform into a lynch level min(floor(u * alive), m), a small unsigned
+integer; for an integer count mafia <= m, u * alive < mafia exactly when
+the level is below mafia, so the day loop over contiguous rows of levels
+counts what the float test would.
 
 Memory and workers.  PCG64 fills row-major, so a chunk is drawn in row
 sub-blocks of at most ``_BLOCK_VALUES`` uniforms (1 MiB of float64) that
@@ -45,14 +48,19 @@ starting a worker pool costs more than it saves there.  Above it the pool
 has the fewest workers of four limits, each of which can only lower the
 count: the CPUs the process may run on, ``threads``, MAFIA_ODDS_THREADS and
 the chunk count.  numpy is imported on first use, so importing the package
-(and every exact CLI command) does not pay for it.
+(and every exact CLI command, and every decided state) does not pay for it.
+The package never calls BLAS, so :func:`_numpy` imports numpy with
+OPENBLAS_NUM_THREADS=1 and restores the environment afterwards; a caller
+who imported numpy first, or set that variable, keeps their BLAS threads.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
+import sys
 from collections.abc import Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -154,6 +162,26 @@ def simulate_game(
     return Trajectory(tuple(states), Winner.MAFIA if m else Winner.CITIZENS)
 
 
+def _numpy():
+    """numpy, imported the first time with one OpenBLAS thread.
+
+    Loading numpy starts an OpenBLAS server thread per extra CPU, which spins
+    for about 0.1 s, and the package never calls BLAS.  Unless numpy is
+    already loaded or the caller set OPENBLAS_NUM_THREADS, the variable is
+    "1" for the import only: forked workers inherit the one thread, and
+    processes started later see the caller's environment unchanged.
+    """
+    if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ:
+        import numpy
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy
+        finally:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    return numpy
+
+
 def _block_rows(draws: int) -> int:
     """Trial rows per sub-block of a chunk whose rows hold ``draws`` uniforms."""
     return max(1, _BLOCK_VALUES // draws)
@@ -165,7 +193,7 @@ def _blocks(seed: int, chunk_index: int, rows: int, draws: int) -> Iterator[np.n
     Each block but the last holds ``_block_rows(draws)`` rows and is a view
     of one reused buffer, valid until the next block is drawn.
     """
-    import numpy as np
+    np = _numpy()
 
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     generator = np.random.Generator(np.random.PCG64(ss))
@@ -190,7 +218,7 @@ def _mafia_chunk(
     blocks, so that each day reads one contiguous row of the group.  The
     day loop then runs once per group.
     """
-    import numpy as np
+    np = _numpy()
 
     level_type = np.min_scalar_type(m)
     alive = np.zeros(draws)
@@ -237,29 +265,32 @@ def _worker_count(threads: int | None, chunks: int) -> int:
 
 def _count_mafia(
     n: int, m: int, days: int, draws: int, trials: int, seed: int, threads: int | None
-) -> np.ndarray:
+) -> list[int]:
     """Histogram of the mafia count after ``days`` turns over ``trials`` seeded games.
 
-    The chunks run in a worker pool only if ``trials * draws`` uniforms pay
-    for its start-up.
+    With m = 0 or no days, every trial ends at m and nothing is drawn, once
+    the arguments have been checked.  Otherwise the chunks run in a worker
+    pool only if ``trials * draws`` uniforms pay for its start-up.
     """
-    if not 0 <= seed < _MAX_SEED:
+    # operator.index raises TypeError for a non-integer, drawn state or not
+    if not 0 <= operator.index(seed) < _MAX_SEED:
         raise ValueError(f"seed must be a 64-bit value, got {seed}")
-    if trials < 1:
+    if operator.index(trials) < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    workers = _worker_count(threads, (trials - 1) // CHUNK_TRIALS + 1)
+    if m == 0 or days == 0:
+        return [0] * m + [trials]
     chunks = [
         (seed, j, min(CHUNK_TRIALS, trials - start), n, m, days, draws)
         for j, start in enumerate(range(0, trials, CHUNK_TRIALS))
     ]
-    workers = _worker_count(threads, len(chunks))
     if workers == 1 or trials * draws < _PARALLEL_MIN_VALUES:
-        return sum(_mafia_chunk(*chunk) for chunk in chunks)
+        return sum(_mafia_chunk(*chunk) for chunk in chunks).tolist()
     import multiprocessing
 
-    import numpy  # noqa: F401 -- imported once here, forked workers inherit it
-
+    _numpy()  # imported once here, forked workers inherit it
     with multiprocessing.Pool(workers) as pool:
-        return sum(pool.starmap(_mafia_chunk, chunks))
+        return sum(pool.starmap(_mafia_chunk, chunks)).tolist()
 
 
 def estimate_win_chance(
@@ -277,10 +308,11 @@ def estimate_win_chance(
     independent of ``threads`` and of the MAFIA_ODDS_THREADS cap.
     """
     check_state(n, m)
-    days = boundary.lynch_days(n)
+    # a game the mafia has already won needs no lynch
+    days = 0 if boundary.mafia_wins(n, m) else boundary.lynch_days(n)
     # the row width n//2 + 1 is part of the seeding contract
     counts = _count_mafia(n, m, days, n // 2 + 1, trials, seed, threads)
-    wins = trials - int(counts[0])
+    wins = trials - counts[0]
     estimate = wins / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
     return SimulationReport(n, m, trials, seed, wins, estimate, std_error)
@@ -302,8 +334,7 @@ def estimate_distribution(
     """
     check_initial(N, M)
     check_window(N, M, t)
-    counts = _count_mafia(N, M, t, max(t, 1), trials, seed, threads)
-    counts = tuple(int(c) for c in counts)
+    counts = tuple(_count_mafia(N, M, t, max(t, 1), trials, seed, threads))
     probs = tuple(c / trials for c in counts)
     return EmpiricalDistribution(
         N=N, M=M, t=t, trials=trials, seed=seed, counts=counts, probs=probs

@@ -1,9 +1,12 @@
 import hashlib
+import json
 import math
 import multiprocessing
 import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -204,6 +207,141 @@ class TestEstimateDistribution:
     def test_rejects_time_outside_window(self):
         with pytest.raises(ValueError):
             estimate_distribution(8, 2, 4, 100, seed=0)
+
+
+def _raise_on_draw(*args, **kwargs):
+    raise AssertionError("a uniform was drawn")
+
+
+def _decided_states(max_n):
+    """Every (n, m, boundary) with n < max_n decided before the first lynch."""
+    return [
+        (n, m, boundary)
+        for boundary in (STRICT, TIES)
+        for n in range(max_n)
+        for m in range(n + 1)
+        if m == 0 or boundary.mafia_wins(n, m)
+    ]
+
+
+class TestDecidedStates:
+    """A game decided before the first lynch (m = 0, or m >= first_win(n)),
+    and a distribution at t = 0, are answered without drawing a uniform, but
+    after every argument check a drawn state gets."""
+
+    def test_decided_states_draw_nothing(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_blocks", _raise_on_draw)
+        trials = 3 * CHUNK_TRIALS + 1
+        states = _decided_states(40) + [(1001, 501, STRICT), (1000, 0, TIES)]
+        for n, m, boundary in states:
+            report = estimate_win_chance(n, m, boundary, trials, seed=n)
+            assert report.mafia_wins == (trials if m else 0), (n, m)
+        emp = estimate_distribution(600, 40, 0, 10**9, seed=1)
+        assert emp.counts == (0,) * 40 + (10**9,)
+        # a drawn state still reaches the blocks
+        with pytest.raises(AssertionError, match="a uniform was drawn"):
+            estimate_win_chance(9, 2, STRICT, 10, seed=0)
+
+    def test_decided_reports_are_pinned(self):
+        # recorded before decided states skipped their draws: the reports
+        # are the same, whole chunks and a ragged one included
+        reports = []
+        for n, m, boundary in _decided_states(40):
+            for trials in (1, 999, CHUNK_TRIALS + 1):
+                seed = 1000 * n + m
+                reports.append(estimate_win_chance(n, m, boundary, trials, seed))
+        for N in range(1, 20):
+            for M in range(N + 1):
+                reports.append(estimate_distribution(N, M, 0, 999, N * 100 + M))
+        assert len(reports) == 2906
+        assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
+            "6a4896f0fb3ed4da6dd4a242d152ee80c91eeb677f8b64e5e5bc55b32e0fa307"
+        )
+
+    @pytest.mark.parametrize(
+        "n,m,boundary", [(9, 0, STRICT), (9, 5, STRICT), (8, 4, TIES)]
+    )
+    def test_decided_states_refuse_what_drawn_states_refuse(
+        self, monkeypatch, n, m, boundary
+    ):
+        with pytest.raises(ValueError, match="seed must be a 64-bit value"):
+            estimate_win_chance(n, m, boundary, 10, seed=-1)
+        with pytest.raises(ValueError, match="seed must be a 64-bit value"):
+            estimate_win_chance(n, m, boundary, 10, seed=1 << 64)
+        with pytest.raises(ValueError, match="need trials >= 1"):
+            estimate_win_chance(n, m, boundary, 0, seed=0)
+        with pytest.raises(ValueError, match="threads must be a non-negative integer"):
+            estimate_win_chance(n, m, boundary, 10, seed=0, threads=-1)
+        with pytest.raises(ValueError, match="threads must be a non-negative integer"):
+            estimate_distribution(n, m, 0, 10, seed=0, threads=-1)
+        monkeypatch.setenv("MAFIA_ODDS_THREADS", "two")
+        with pytest.raises(ValueError, match="MAFIA_ODDS_THREADS must be"):
+            estimate_win_chance(n, m, boundary, 10, seed=0)
+
+    @pytest.mark.parametrize("m", [0, 2, 9])
+    @pytest.mark.parametrize("value", [1.5, 2.0, "3"])
+    def test_non_integer_seed_or_trials_is_refused_on_every_state(self, m, value):
+        with pytest.raises(TypeError):
+            estimate_win_chance(9, m, STRICT, 1000, value)
+        with pytest.raises(TypeError):
+            estimate_distribution(9, m, 0, 1000, value)
+        with pytest.raises(TypeError):
+            estimate_win_chance(9, m, STRICT, value, 0)
+
+
+_TASKS_AROUND_FIRST_CALL = """
+import json, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+from mafia_odds import montecarlo
+from mafia_odds.core import BoundaryRule
+before = len(os.listdir("/proc/self/task"))
+if sys.argv[1] == "bare-import":
+    import numpy
+else:
+    montecarlo.estimate_win_chance(
+        9, 2, BoundaryRule.STRICT_MAJORITY, 1000, 0, threads=1
+    )
+after = len(os.listdir("/proc/self/task"))
+print(json.dumps([before, after, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+def _tasks_around_first_call(mode, blas_threads=None):
+    """Threads before and after numpy loads in a fresh process, and the
+    OPENBLAS_NUM_THREADS it sees afterwards."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run(
+        [sys.executable, "-c", _TASKS_AROUND_FIRST_CALL, mode],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/self/task"
+)
+class TestBlasThreads:
+    """numpy's first import by the package starts no BLAS thread, and leaves
+    the environment, and any thread count the caller chose, as it was."""
+
+    def test_first_simulation_starts_no_thread(self):
+        before, after, blas_threads = _tasks_around_first_call("package")
+        assert after == before
+        assert blas_threads is None
+
+    def test_a_thread_count_the_caller_set_is_kept(self):
+        _, after, blas_threads = _tasks_around_first_call("package", "2")
+        assert blas_threads == "2"
+        # the same threads as numpy imported directly under that setting
+        assert after == _tasks_around_first_call("bare-import", "2")[1]
+
+    def test_numpy_imported_first_keeps_its_threads(self):
+        bare = _tasks_around_first_call("bare-import")[1]
+        assert _tasks_around_first_call("numpy-first")[:2] == [bare, bare]
 
 
 class _RowReader:
