@@ -10,8 +10,8 @@ the first column is exact, the rest should shadow it.
 import argparse
 
 from mafia_odds import (
+    discrete_path,
     estimate_distribution,
-    evolve_discrete,
     integrate_continuous,
     pm_continuous,
 )
@@ -29,8 +29,8 @@ def main() -> None:
     N, M = args.players, args.mafia
     print(f"state ({N}, {M}), {args.trials} trials, seed {args.seed}")
     print(f"{'t':>3} {'m':>3}  {'exact':>10}  {'continuous':>10}  {'rk4':>10}  {'empirical':>10}")
-    for t in range(0, (N - M) // 2 + 1):
-        exact = evolve_discrete(N, M, t)
+    # one walk of the exact evolution: p_m(t) = q[m] / D_t
+    for t, den, q in discrete_path(N, M, (N - M) // 2):
         # the integrator needs clearance below the t = N/2 blow-up
         in_domain = t <= N / 2 - 10.0 * args.step
         rk4 = integrate_continuous(N, M, float(t), args.step) if in_domain else None
@@ -38,7 +38,7 @@ def main() -> None:
         for m in range(M + 1):
             rk4_cell = f"{rk4.probs[m]:>10.6f}" if rk4 else f"{'-':>10}"
             print(
-                f"{t:>3} {m:>3}  {float(exact.probs[m]):>10.6f}"
+                f"{t:>3} {m:>3}  {q[m] / den:>10.6f}"
                 f"  {pm_continuous(N, M, m, float(t)):>10.6f}"
                 f"  {rk4_cell}  {empirical.probs[m]:>10.6f}"
             )

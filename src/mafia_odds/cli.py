@@ -295,8 +295,22 @@ def _fail(message: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7
-        sys.set_int_max_str_digits(0)  # exact cells print at any size
+    """Run one command; exact integers parse and print at any size.
+
+    CPython's int-to-str digit limit (Python >= 3.10.7) is lifted for the
+    command only: the caller's limit is back when ``main`` returns.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
+
+
+def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     path = args.output
     if path is not None:

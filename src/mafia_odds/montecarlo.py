@@ -36,18 +36,19 @@ integer; for an integer count mafia <= m, u * alive < mafia exactly when
 the level is below mafia, so the day loop over contiguous rows of levels
 counts what the float test would.
 
-Memory and workers.  PCG64 fills row-major, so a chunk is drawn in row
-sub-blocks of at most ``_BLOCK_VALUES`` uniforms (1 MiB of float64) that
-are, bit for bit, the rows of one whole-chunk draw.  Each block is scaled
-and cut while it is still in cache, and its levels are copied transposed
-into a level group of about ``_LEVEL_VALUES`` one-byte levels, a whole
-number of blocks wide; the day loop runs once per group.  A chunk's memory
-(about 6 MiB) is therefore bounded whatever n is.  A call whose work (trials
-x draws) is below ``_PARALLEL_MIN_VALUES`` uniforms runs in-process, because
-starting a worker pool costs more than it saves there.  Above it the pool
-has the fewest workers of four limits, each of which can only lower the
-count: the CPUs the process may run on, ``threads``, MAFIA_ODDS_THREADS and
-the chunk count.  numpy is imported on first use, so importing the package
+Memory and workers.  A chunk's trials run in level groups of about
+``_LEVEL_VALUES`` one-byte levels.  PCG64 fills row-major, so each group
+draws its rows from the chunk's one generator in blocks of at most
+``_BLOCK_VALUES`` uniforms (1 MiB of float64), and the blocks are, bit for
+bit, the rows of one whole-chunk draw.  Each block is scaled and cut while
+it is still in cache, and its levels are copied transposed into the group;
+the day loop runs once per group.  A chunk's memory (about 6 MiB) is
+therefore bounded whatever n is.  A call whose work (trials x draws) is
+below ``_PARALLEL_MIN_VALUES`` uniforms runs in-process, because starting
+a worker pool costs more than it saves there.  Above it the pool has the
+fewest workers of four limits, each of which can only lower the count: the
+CPUs the process may run on, ``threads``, MAFIA_ODDS_THREADS and the chunk
+count.  numpy is imported on first use, so importing the package
 (and every exact CLI command, and every decided state) does not pay for it.
 The package never calls BLAS, so :func:`_numpy` imports numpy with
 OPENBLAS_NUM_THREADS=1 and restores the environment afterwards; a caller
@@ -61,7 +62,6 @@ import math
 import operator
 import os
 import sys
-from collections.abc import Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import BoundaryRule, GameState, check_initial, check_state, check_window
@@ -82,7 +82,7 @@ __all__ = [
 # trials per vectorized chunk; part of the seeding contract, do not change
 CHUNK_TRIALS = 1 << 16
 
-# uniforms per row sub-block of a chunk (1 MiB of float64, small enough to
+# uniforms per drawn block of trial rows (1 MiB of float64, small enough to
 # stay in cache from draw through scale and cut)
 _BLOCK_VALUES = 1 << 17
 # lynch levels per level group (4 MiB of one-byte levels), the trials the
@@ -182,60 +182,41 @@ def _numpy():
     return numpy
 
 
-def _block_rows(draws: int) -> int:
-    """Trial rows per sub-block of a chunk whose rows hold ``draws`` uniforms."""
-    return max(1, _BLOCK_VALUES // draws)
-
-
-def _blocks(seed: int, chunk_index: int, rows: int, draws: int) -> Iterator[np.ndarray]:
-    """Yield chunk ``chunk_index``'s (rows, draws) uniforms as row sub-blocks.
-
-    Each block but the last holds ``_block_rows(draws)`` rows and is a view
-    of one reused buffer, valid until the next block is drawn.
-    """
-    np = _numpy()
-
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    generator = np.random.Generator(np.random.PCG64(ss))
-    step = _block_rows(draws)
-    buffer = np.empty((min(rows, step), draws))
-    for start in range(0, rows, step):
-        block = buffer[: min(step, rows - start)]
-        generator.random(out=block)
-        yield block
-
-
 def _mafia_chunk(
     seed: int, chunk_index: int, rows: int, n: int, m: int, days: int, draws: int
 ) -> np.ndarray:
     """Histogram of the mafia count after ``days`` turns, one chunk of trials.
 
     Trial rows hold ``draws`` uniforms each; day ``day`` reads column ``day``
-    and lynches among the ``n - 2*day`` living players.  Each sub-block is
+    and lynches among the ``n - 2*day`` living players.  The trials run in
+    level groups of ``width`` trials.  Each group draws its rows in blocks
+    of at most ``_BLOCK_VALUES`` uniforms into one reused buffer; a block is
     scaled in place by those counts (0 in the columns no day reads), cut to
     lynch levels in the smallest unsigned dtype that holds m, and copied
-    transposed into a level group of ``width`` trials, a whole number of
-    blocks, so that each day reads one contiguous row of the group.  The
-    day loop then runs once per group.
+    transposed into the group, so that each day reads one contiguous row of
+    it.  The day loop then runs once per group.
     """
     np = _numpy()
 
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
+    generator = np.random.Generator(np.random.PCG64(ss))
     level_type = np.min_scalar_type(m)
     alive = np.zeros(draws)
     alive[:days] = range(n, n - 2 * days, -2)
-    step = _block_rows(draws)
-    width = max(step, _LEVEL_VALUES // max(days, 1) // step * step)
-    levels = np.empty((min(rows, step), draws), level_type)
+    step = max(1, _BLOCK_VALUES // draws)
+    width = max(1, _LEVEL_VALUES // max(days, 1))
+    uniforms = np.empty((min(rows, step), draws))
+    levels = np.empty(uniforms.shape, level_type)
     by_day = np.empty((days, min(rows, width)), level_type)
     counts = np.zeros(m + 1, dtype=np.int64)
-    blocks = _blocks(seed, chunk_index, rows, draws)
     for start in range(0, rows, width):
         group = by_day[:, : min(width, rows - start)]
-        # zip asks the range first, so a group never takes the next one's block
-        for at, uniforms in zip(range(0, group.shape[1], step), blocks):
-            np.multiply(uniforms, alive, out=uniforms)
-            cut = levels[: len(uniforms)]
-            np.minimum(uniforms, m, out=cut, casting="unsafe")
+        for at in range(0, group.shape[1], step):
+            block = uniforms[: min(step, group.shape[1] - at)]
+            generator.random(out=block)
+            np.multiply(block, alive, out=block)
+            cut = levels[: len(block)]
+            np.minimum(block, m, out=cut, casting="unsafe")
             group[:, at : at + len(cut)] = cut[:, :days].T
         mafia = np.full(group.shape[1], m, dtype=level_type)
         for level_row in group:

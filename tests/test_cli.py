@@ -549,10 +549,12 @@ class TestDigitLimit:
         sys.set_int_max_str_digits(640)
         try:
             code = cli.main(argv)
+            after = sys.get_int_max_str_digits()
         finally:
             sys.set_int_max_str_digits(old)
         out = capsys.readouterr().out
         assert code == 0
+        assert after == 640  # the caller's limit, not the lifted one
         if "json" in argv:
             record = json.loads(out)
         else:

@@ -230,7 +230,7 @@ class TestDecidedStates:
     after every argument check a drawn state gets."""
 
     def test_decided_states_draw_nothing(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_blocks", _raise_on_draw)
+        monkeypatch.setattr(montecarlo, "_mafia_chunk", _raise_on_draw)
         trials = 3 * CHUNK_TRIALS + 1
         states = _decided_states(40) + [(1001, 501, STRICT), (1000, 0, TIES)]
         for n, m, boundary in states:
@@ -238,7 +238,7 @@ class TestDecidedStates:
             assert report.mafia_wins == (trials if m else 0), (n, m)
         emp = estimate_distribution(600, 40, 0, 10**9, seed=1)
         assert emp.counts == (0,) * 40 + (10**9,)
-        # a drawn state still reaches the blocks
+        # a drawn state still reaches the chunk kernel
         with pytest.raises(AssertionError, match="a uniform was drawn"):
             estimate_win_chance(9, 2, STRICT, 10, seed=0)
 
@@ -287,6 +287,33 @@ class TestDecidedStates:
             estimate_distribution(9, m, 0, 1000, value)
         with pytest.raises(TypeError):
             estimate_win_chance(9, m, STRICT, value, 0)
+
+
+class TestDrawnReports:
+    def test_drawn_reports_are_pinned(self):
+        # recorded before the chunk kernel drew its own blocks: every
+        # undecided state with n < 24 and every distribution window with
+        # N < 16, whole chunks and a ragged one included
+        reports = []
+        for boundary in (STRICT, TIES):
+            for n in range(24):
+                for m in range(1, n + 1):
+                    if boundary.mafia_wins(n, m):
+                        continue
+                    seed = 1000 * n + m
+                    for trials in (1, 999, CHUNK_TRIALS + 1):
+                        reports.append(
+                            estimate_win_chance(n, m, boundary, trials, seed, threads=1)
+                        )
+        for N in range(1, 16):
+            for M in range(1, N + 1):
+                for t in range(1, (N - M) // 2 + 1):
+                    seed = 100 * N + M + t
+                    reports.append(estimate_distribution(N, M, t, 999, seed, threads=1))
+        assert len(reports) == 1011
+        assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
+            "904e5a38717cbd9c997358469c403445df74c92508eb15abdabc69ec246fe191"
+        )
 
 
 _TASKS_AROUND_FIRST_CALL = """
@@ -367,13 +394,21 @@ class TestKernelAgainstSimulateGame:
     @pytest.mark.parametrize("boundary", [STRICT, TIES])
     def test_every_state_up_to_40_players(self, boundary):
         for n in range(41):
-            block = next(montecarlo._blocks(self.SEED, 0, self.ROWS, n // 2 + 1))
-            rows = block.tolist()
+            rows = _whole_draw(self.SEED, 0, self.ROWS, n // 2 + 1).tolist()
             for m in range(n + 1):
                 games = [simulate_game(n, m, boundary, _RowReader(row)) for row in rows]
                 wins = sum(game.winner is Winner.MAFIA for game in games)
                 report = estimate_win_chance(n, m, boundary, self.ROWS, self.SEED)
                 assert report.mafia_wins == wins, (n, m)
+
+
+def _whole_draw(seed, chunk_index, rows, draws):
+    """Chunk ``chunk_index``'s uniforms as one (rows, draws) draw, the
+    seeding contract written out without the kernel's blocks."""
+    import numpy as np
+
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
+    return np.random.Generator(np.random.PCG64(ss)).random((rows, draws))
 
 
 def _float_day_loop(seed, chunk_index, rows, n, m, days, draws):
@@ -384,8 +419,7 @@ def _float_day_loop(seed, chunk_index, rows, n, m, days, draws):
     """
     import numpy as np
 
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    uniforms = np.random.Generator(np.random.PCG64(ss)).random((rows, draws))
+    uniforms = _whole_draw(seed, chunk_index, rows, draws)
     mafia = np.full(rows, m, dtype=np.int64)
     for day in range(days):
         mafia -= uniforms[:, day] * (n - 2 * day) < mafia
@@ -393,8 +427,8 @@ def _float_day_loop(seed, chunk_index, rows, n, m, days, draws):
 
 
 class TestSubBlocks:
-    """Row sub-blocks are the rows of one whole-chunk draw, bit for bit, and
-    the chunk kernel gives the float day loop's histogram at any block size."""
+    """The chunk kernel gives the float day loop's histogram on one
+    whole-chunk draw at any block and level group size."""
 
     ROWS = 299  # no multiple of the 7, 8 or 10 rows a small block holds
 
@@ -403,19 +437,9 @@ class TestSubBlocks:
         # 7 rows and 3 spare values per block: splits mid-chunk, ragged end
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 7 * draws + 3)
         # three or more blocks per level group: the groups split mid-chunk
-        # too, and the last one ends in the ragged block
+        # too, and for most states a group is no whole number of blocks, so
+        # its last block is ragged
         monkeypatch.setattr(montecarlo, "_LEVEL_VALUES", 28 * draws + 5)
-
-    @pytest.mark.parametrize("draws", [1, 2, 6, 51])
-    def test_blocks_are_the_rows_of_one_draw(self, monkeypatch, draws):
-        np = pytest.importorskip("numpy")
-        ss = np.random.SeedSequence(entropy=5, spawn_key=(3,))
-        whole = np.random.Generator(np.random.PCG64(ss)).random((self.ROWS, draws))
-        self._small_blocks(monkeypatch, draws)
-        blocks = [b.copy() for b in montecarlo._blocks(5, 3, self.ROWS, draws)]
-        assert max(len(b) for b in blocks) < self.ROWS
-        assert len(blocks[-1]) < len(blocks[0])
-        assert np.array_equal(np.concatenate(blocks), whole)
 
     @pytest.mark.parametrize("boundary", [STRICT, TIES])
     def test_win_chunk_ignores_the_block_size(self, monkeypatch, boundary):
@@ -450,14 +474,17 @@ class TestSubBlocks:
     def test_chunk_memory_is_bounded(self):
         # one whole-chunk draw at n = 1000 would be 65,536 x 501 float64s, 263 MB
         pytest.importorskip("numpy")  # so the peak is the chunk's, not the import's
-        for n, boundary in [(1000, STRICT), (1001, TIES)]:
+        # the wins, recorded before the kernel drew its own blocks, pin a
+        # chunk of eight level groups at the default sizes
+        for n, boundary, wins in [(1000, STRICT, 24157), (1001, TIES, 32242)]:
             tracemalloc.start()
             try:
-                estimate_win_chance(n, 15, boundary, CHUNK_TRIALS, 0, threads=1)
+                report = estimate_win_chance(n, 15, boundary, CHUNK_TRIALS, 0, threads=1)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < 8 * 2**20, (n, boundary, peak)
+            assert report.mafia_wins == wins, (n, boundary)
 
 
 def _raise_on_pool(*args, **kwargs):
