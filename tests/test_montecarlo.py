@@ -441,6 +441,29 @@ class TestSubBlocks:
         # its last block is ragged
         monkeypatch.setattr(montecarlo, "_LEVEL_VALUES", 28 * draws + 5)
 
+    @pytest.mark.parametrize("draws", [1, 2, 6, 51])
+    def test_blocks_are_the_rows_of_one_draw(self, monkeypatch, draws):
+        np = pytest.importorskip("numpy")
+        whole = _whole_draw(5, 3, self.ROWS, draws)
+        blocks = []
+        make_generator = np.random.Generator
+
+        class RecordingGenerator:
+            def __init__(self, bit_generator):
+                self._generator = make_generator(bit_generator)
+
+            def random(self, out):
+                self._generator.random(out=out)
+                blocks.append(out.copy())
+                return out
+
+        monkeypatch.setattr(np.random, "Generator", RecordingGenerator)
+        self._small_blocks(monkeypatch, draws)
+        montecarlo._mafia_chunk(5, 3, self.ROWS, 2 * draws + 1, 1, draws, draws)
+        assert max(len(b) for b in blocks) < self.ROWS
+        assert len(blocks[-1]) < len(blocks[0])
+        assert np.array_equal(np.concatenate(blocks), whole)
+
     @pytest.mark.parametrize("boundary", [STRICT, TIES])
     def test_win_chunk_ignores_the_block_size(self, monkeypatch, boundary):
         states = [(n, m) for n in range(0, 12) for m in range(n + 1)]
