@@ -6,18 +6,45 @@ mafia's winning chance exactly (integer recurrence and closed form) and
 asymptotically, evolves the mafia-count distribution in discrete and
 continuous time, and cross-checks everything with a seeded Monte Carlo
 simulator.  The ``mafia-odds`` CLI exposes all of it as CSV/JSON tables.
+
+The namespace is ``__version__`` plus the ``__all__`` lists of ``core``,
+``evolution``, ``montecarlo`` and ``winchance``.  Nothing is imported up
+front: ``mafia_odds.core`` loads that module alone, and the first public
+name, ``__all__`` or ``dir()`` loads all four and binds every name once.
 """
 
-from . import core, evolution, montecarlo, winchance
-from .core import *
-from .evolution import *
-from .montecarlo import *
-from .winchance import *
+import importlib
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .core import *
+    from .evolution import *
+    from .montecarlo import *
+    from .winchance import *
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"]
-__all__ += core.__all__
-__all__ += evolution.__all__
-__all__ += montecarlo.__all__
-__all__ += winchance.__all__
+_MODULES = ("core", "evolution", "montecarlo", "winchance")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    # a probe such as __wrapped__ names no public function, so it loads nothing
+    if name != "__all__" and name.startswith("__"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    namespace = globals()
+    if "__all__" not in namespace:
+        public = ["__version__"]
+        for module in map(__getattr__, _MODULES):
+            public += module.__all__
+            namespace.update((key, getattr(module, key)) for key in module.__all__)
+        namespace["__all__"] = public
+    if name not in namespace:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return namespace[name]
+
+
+def __dir__():
+    __getattr__("__all__")
+    return list(globals())

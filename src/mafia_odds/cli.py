@@ -17,7 +17,8 @@ Output contract (versioned; tests pin it):
 
 Exit codes: 0 success, 1 computation-domain error (e.g. an evolution time
 outside the validity window, a malformed MAFIA_ODDS_THREADS, or an integer
-past float range where a float law needs it), 2 argument error (including a
+past float range where a float law needs it) or a failed write to stdout
+(silent when the reader has closed the pipe), 2 argument error (including a
 non-finite --t-max and an --output path that cannot be written, which is
 refused before anything is computed).
 """
@@ -25,15 +26,14 @@ refused before anything is computed).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from fractions import Fraction
 from itertools import chain, islice
 
-from . import evolution, montecarlo, winchance
-from .core import BoundaryRule, check_state
+# Each handler imports the modules it runs, so --help and a command load
+# only what they use.  A solver is looked up on its module at call time,
+# so a wrapper put on the module attribute (a tracer, a test) sees the call.
 
 __all__ = ["main"]
 
@@ -55,6 +55,8 @@ def _emit(fmt: str, fields: tuple[str, ...], rows, width: int | None = None):
     scalars, each in the order of ``fields``.  CSV writes the first
     ``width`` fields of each row, all of them by default.
     """
+    if fmt == "json":
+        import json
     if isinstance(rows, tuple):
         if fmt == "json":
             yield json.dumps(dict(zip(fields, rows)), indent=2) + "\n"
@@ -81,6 +83,8 @@ def _emit(fmt: str, fields: tuple[str, ...], rows, width: int | None = None):
 
 
 def _state(args: argparse.Namespace) -> tuple[int, int]:
+    from .core import check_state
+
     try:
         check_state(args.players, args.mafia)
     except ValueError as exc:
@@ -103,25 +107,34 @@ def _exact(num: int, den: int) -> tuple[int, int, float]:
 
 _W_FIELDS = ("n", "m", "w_num", "w_den", "w_float")
 
-# look the solvers up at call time, so a wrapper put on the module
-# attribute (a tracer, a test) sees the call
-_METHODS = {
-    "recurrence": lambda n, m, b: winchance.win_chance_recurrence(n, m, b),
-    "closed": lambda n, m, b: winchance.win_chance_closed(n, m, b),
-    "asymptotic": lambda n, m, b: winchance.win_chance_asymptotic(n, m),
-    "continuous": lambda n, m, b: evolution.win_chance_continuous(n, m),
-}
+_METHODS = ("recurrence", "closed", "asymptotic", "continuous")
 
 
 def cmd_winchance(args: argparse.Namespace):
+    from fractions import Fraction
+
+    from . import evolution, winchance
+    from .core import BoundaryRule
+
     n, m = _state(args)
-    value = _METHODS[args.method](n, m, BoundaryRule(args.boundary))
+    boundary = BoundaryRule(args.boundary)
+    if args.method == "recurrence":
+        value = winchance.win_chance_recurrence(n, m, boundary)
+    elif args.method == "closed":
+        value = winchance.win_chance_closed(n, m, boundary)
+    elif args.method == "asymptotic":
+        value = winchance.win_chance_asymptotic(n, m)
+    else:
+        value = evolution.win_chance_continuous(n, m)
     if type(value) is Fraction:
         return _W_FIELDS, (n, m, *_exact(value.numerator, value.denominator))
     return _W_FIELDS, (n, m, None, None, float(value))
 
 
 def cmd_table(args: argparse.Namespace):
+    from . import winchance
+    from .core import BoundaryRule
+
     _need_max_n(args, 1)
     boundary = BoundaryRule(args.boundary)
     rows = (
@@ -133,22 +146,21 @@ def cmd_table(args: argparse.Namespace):
     return _W_FIELDS, rows
 
 
-def _single_mafia_rows(max_n: int):
-    num, den = 1, 1  # w(n-1, 1) in lowest terms, from w(0, 1) = 1
-    for n in range(1, max_n + 1):
-        # w(n, 1) = den/(n num), and gcd(num, den) = 1 leaves only gcd(den, n)
-        g = math.gcd(den, n)
-        num, den = den // g, n // g * num
-        yield n, num, den, num / den, winchance.win_chance_asymptotic(n, 1)
-
-
 def cmd_single_mafia(args: argparse.Namespace):
+    from . import winchance
+
     _need_max_n(args, 1)
     fields = ("n", "w_exact_num", "w_exact_den", "w_exact_float", "approx_parity_aware")
-    return fields, _single_mafia_rows(args.max_n)
+    rows = (
+        (n, num, den, num / den, winchance.win_chance_asymptotic(n, 1))
+        for n, num, den in winchance._single_mafia_rows(args.max_n)
+    )
+    return fields, rows
 
 
 def _evolve_discrete_rows(N: int, M: int, t_max: int):
+    from . import evolution
+
     for t, den, q in evolution.discrete_path(N, M, t_max):
         for m, x in enumerate(q):
             num, d, value = _exact(x, den)
@@ -158,6 +170,8 @@ def _evolve_discrete_rows(N: int, M: int, t_max: int):
 
 
 def _evolve_continuous_rows(N: int, M: int, t_max: float, spu: int):
+    from . import evolution
+
     # bound t_max to [-1, N] so the count cannot overflow: the first sample past
     # N/2 is still refused, and a negative t_max still gives no sample
     for j in range(math.floor(min(max(t_max, -1.0), N) * spu) + 1):
@@ -190,6 +204,8 @@ def cmd_evolve(args: argparse.Namespace):
 
 
 def cmd_optimal(args: argparse.Namespace):
+    from . import winchance
+
     _need_max_n(args, 2)
     rows = (
         (n, m, winchance.optimal_mafia_approx(n))
@@ -200,6 +216,9 @@ def cmd_optimal(args: argparse.Namespace):
 
 
 def cmd_simulate(args: argparse.Namespace):
+    from . import montecarlo
+    from .core import BoundaryRule
+
     n, m = _state(args)
     if args.trials < 1:
         raise _ArgumentError(f"need --trials >= 1, got {args.trials}")
@@ -231,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("winchance", help="mafia winning-chance for one starting state")
     p.add_argument("-n", "--players", type=int, required=True)
     p.add_argument("-m", "--mafia", type=int, required=True)
-    p.add_argument("--method", choices=tuple(_METHODS), default="recurrence")
+    p.add_argument("--method", choices=_METHODS, default="recurrence")
     _add_boundary_flag(p)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_winchance)
@@ -334,7 +353,18 @@ def _run(argv) -> int:
     except (ValueError, OverflowError) as exc:
         return _fail(str(exc), 2 if isinstance(exc, _ArgumentError) else 1)
     if path is None:
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except OSError as exc:
+            # what is left unwritten stays buffered: point the descriptor at
+            # devnull, so the flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):  # the reader has gone
+                return 1
+            return _fail(f"cannot write stdout: {exc.strerror}", 1)
         return 0
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:

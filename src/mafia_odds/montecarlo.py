@@ -42,14 +42,17 @@ draws its rows from the chunk's one generator in blocks of at most
 ``_BLOCK_VALUES`` uniforms (1 MiB of float64), and the blocks are, bit for
 bit, the rows of one whole-chunk draw.  Each block is scaled and cut while
 it is still in cache, and its levels are copied transposed into the group;
-the day loop runs once per group.  A chunk's memory (about 6 MiB) is
-therefore bounded whatever n is.  A call whose work (trials x draws) is
-below ``_PARALLEL_MIN_VALUES`` uniforms runs in-process, because starting
-a worker pool costs more than it saves there.  Above it the pool has the
-fewest workers of four limits, each of which can only lower the count: the
-CPUs the process may run on, ``threads``, MAFIA_ODDS_THREADS and the chunk
-count.  numpy is imported on first use, so importing the package
-(and every exact CLI command, and every decided state) does not pay for it.
+the day loop runs once per group.  A chunk's memory (about 6 MiB at
+n = 1000) is therefore flat in n while one trial row fits in a block,
+n//2 + 1 <= ``_BLOCK_VALUES``; past that a block is one row, and a chunk
+grows by about 9 bytes per player (4.8 MiB for 2 trials at n = 2**19).
+A call whose work (trials x draws) is below ``_PARALLEL_MIN_VALUES``
+uniforms runs in-process, because starting a worker pool costs more than
+it saves there.  Above it the pool has the fewest workers of four
+limits, each of which can only lower the count: the CPUs the process may
+run on, ``threads``, MAFIA_ODDS_THREADS and the chunk count.  numpy is
+imported on first use, so importing the package (and every exact CLI
+command, and every decided state) does not pay for it.
 The package never calls BLAS, so :func:`_numpy` imports numpy with
 OPENBLAS_NUM_THREADS=1 and restores the environment afterwards; a caller
 who imported numpy first, or set that variable, keeps their BLAS threads.
@@ -202,7 +205,7 @@ def _mafia_chunk(
     generator = np.random.Generator(np.random.PCG64(ss))
     level_type = np.min_scalar_type(m)
     alive = np.zeros(draws)
-    alive[:days] = range(n, n - 2 * days, -2)
+    alive[:days] = np.arange(n, n - 2 * days, -2)
     step = max(1, _BLOCK_VALUES // draws)
     width = max(1, _LEVEL_VALUES // max(days, 1))
     uniforms = np.empty((min(rows, step), draws))

@@ -122,6 +122,19 @@ def win_chance_single(n: int) -> Fraction:
     return falling_product(n, n // 2, 1)
 
 
+def _single_mafia_rows(max_n: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (n, num, den) with w(n, 1) = num/den in lowest terms, n = 1..max_n.
+
+    Each row steps the last one by n w(n, 1) w(n-1, 1) = 1, from w(0, 1) = 1.
+    """
+    num, den = 1, 1  # w(n-1, 1)
+    for n in range(1, max_n + 1):
+        # w(n, 1) = den/(n num), and gcd(num, den) = 1 leaves only gcd(den, n)
+        g = math.gcd(den, n)
+        num, den = den // g, n // g * num
+        yield n, num, den
+
+
 def win_chance_closed(
     n: int, m: int, boundary: BoundaryRule = BoundaryRule.STRICT_MAJORITY
 ) -> Fraction:

@@ -458,6 +458,35 @@ class TestOutputFile:
         assert existing.read_bytes() == b"earlier output\n"
 
 
+class TestStdoutFailure:
+    def test_a_closed_pipe_exits_1_silently(self):
+        # about 3 MB of rows, far past a pipe's buffer, so a write meets the closed end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mafia_odds", "table", "--max-n", "300"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"n,m,w_num,w_den,w_float\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert stderr == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_device_exits_1_with_one_line(self):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mafia_odds", "table", "--max-n", "3"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr == b"mafia-odds: cannot write stdout: No space left on device\n"
+
+
 # every kind of scalar the encoder tells apart, beyond what the commands
 # print; the characters cover each escape class (quote, backslash, control,
 # non-ASCII, astral as a surrogate pair) and "%", which the template uses
@@ -623,25 +652,69 @@ def test_csv_header_leads_the_json_keys(capsys, argv):
     assert keys[: len(header)] == header
 
 
-def test_exact_commands_do_not_import_numpy():
-    code = "import sys, mafia_odds.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, timeout=120
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == b"False\n"
+_SOLVERS = {f"mafia_odds.{name}" for name in ("core", "evolution", "montecarlo", "winchance")}
+# numpy only where a simulation draws, and no record class build pulls in inspect
+_UNUSED_BY_HELP = _SOLVERS | {"fractions", "decimal", "json", "numpy", "dataclasses", "inspect"}
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    code = (
-        "import sys, mafia_odds.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
-    )
+# each entry point loads the modules its command runs and none of the others
+@pytest.mark.parametrize(
+    "entry,loaded,skipped",
+    [
+        ("import mafia_odds", {"mafia_odds"}, _UNUSED_BY_HELP),
+        ("import mafia_odds.cli", {"mafia_odds.cli"}, _UNUSED_BY_HELP),
+        ("--help", {"mafia_odds.cli"}, _UNUSED_BY_HELP),
+        (
+            "evolve -n 9 -m 2 --mode discrete",
+            {"mafia_odds.evolution"},
+            {"mafia_odds.montecarlo", "mafia_odds.winchance", "numpy"},
+        ),
+        (
+            "simulate -n 9 -m 2 --trials 100",
+            {"mafia_odds.montecarlo", "numpy"},
+            {"mafia_odds.winchance", "mafia_odds.evolution"},
+        ),
+        (
+            "table --max-n 5",
+            {"mafia_odds.winchance"},
+            {"json", "mafia_odds.montecarlo", "numpy"},
+        ),
+    ],
+    ids=["import-package", "import-cli", "help", "evolve-discrete", "simulate", "table-csv"],
+)
+def test_an_entry_point_loads_only_what_it_runs(entry, loaded, skipped):
+    if not entry.startswith("import "):
+        # what python -m mafia_odds runs, with the exit caught so the probe runs after it
+        entry = (
+            f"import runpy, sys\nsys.argv[1:] = {entry.split()!r}\n"
+            "try:\n    runpy.run_module('mafia_odds', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n    assert not exc.code"
+        )
+    # a fresh interpreter, which lists its modules on stderr after the command's output
+    probe = f"{entry}\nimport sys\nprint(*sys.modules, file=sys.stderr)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stderr.decode().split())
+    assert loaded <= modules
+    assert not skipped & modules
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "before = set(dir())\nfrom mafia_odds import *\nnames = set(dir()) - before - {'before'}",
+        "import mafia_odds\nnames = set(dir(mafia_odds)) & set(vars(mafia_odds))",
+    ],
+    ids=["star-import", "dir"],
+)
+def test_the_first_use_of_the_namespace_binds_every_public_name(code):
+    from test_package import PUBLIC_NAMES
+
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, timeout=120
+        [sys.executable, "-c", f"{code}\nprint(*sorted(names))"], capture_output=True, timeout=120
     )
-    assert proc.returncode == 0
-    assert proc.stdout == b"[]\n"
+    assert proc.returncode == 0, proc.stderr
+    assert set(PUBLIC_NAMES) <= set(proc.stdout.decode().split())
 
 
 # SHA-256 of stdout for every subcommand in both formats, every --method,

@@ -509,6 +509,20 @@ class TestSubBlocks:
             assert peak < 8 * 2**20, (n, boundary, peak)
             assert report.mafia_wins == wins, (n, boundary)
 
+    def test_chunk_memory_past_one_row_per_block(self):
+        # n // 2 + 1 > _BLOCK_VALUES: each block is one row, and the chunk
+        # grows with n; filling the day counts from a Python range held one
+        # int object per day and peaked at 12 MiB here
+        pytest.importorskip("numpy.random")  # so the peak is the chunk's alone
+        n = 1 << 19
+        tracemalloc.start()
+        try:
+            montecarlo._mafia_chunk(0, 0, 2, n, 15, STRICT.lynch_days(n), n // 2 + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak
+
 
 def _raise_on_pool(*args, **kwargs):
     raise AssertionError("a worker pool was started")
