@@ -313,6 +313,21 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _silence_stdout() -> None:
+    """After a failed write to the process's own stdout, point its descriptor
+    at devnull, so the flush of what is left buffered at exit cannot fail
+    again; a stream a caller put in place of stdout is left alone."""
+    if sys.stdout is not sys.__stdout__:
+        return
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # io.UnsupportedOperation is both
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     """Run one command; exact integers parse and print at any size.
 
@@ -357,11 +372,7 @@ def _run(argv) -> int:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()
         except OSError as exc:
-            # what is left unwritten stays buffered: point the descriptor at
-            # devnull, so the flush at exit cannot fail again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            _silence_stdout()
             if isinstance(exc, BrokenPipeError):  # the reader has gone
                 return 1
             return _fail(f"cannot write stdout: {exc.strerror}", 1)

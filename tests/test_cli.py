@@ -1,5 +1,7 @@
 import argparse
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -486,6 +488,21 @@ class TestStdoutFailure:
         assert b"Traceback" not in proc.stderr
         assert proc.stderr == b"mafia-odds: cannot write stdout: No space left on device\n"
 
+    def test_a_callers_failing_stream_is_reported_and_left_alone(self, monkeypatch, capsys):
+        # a stream with no descriptor, as a caller running main in-process may
+        # put in place of stdout: main reports the error and redirects nothing
+        class FullStream(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        stream = FullStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert cli.main(["table", "--max-n", "3"]) == 1
+        assert sys.stdout is stream
+        assert capsys.readouterr().err == (
+            f"mafia-odds: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+        )
+
 
 # every kind of scalar the encoder tells apart, beyond what the commands
 # print; the characters cover each escape class (quote, backslash, control,
@@ -653,8 +670,10 @@ def test_csv_header_leads_the_json_keys(capsys, argv):
 
 
 _SOLVERS = {f"mafia_odds.{name}" for name in ("core", "evolution", "montecarlo", "winchance")}
-# numpy only where a simulation draws, and no record class build pulls in inspect
-_UNUSED_BY_HELP = _SOLVERS | {"fractions", "decimal", "json", "numpy", "dataclasses", "inspect"}
+# numpy only where a simulation draws (numpy itself loads inspect), and no
+# solver module loads dataclasses or inspect to build its record classes
+_UNUSED_BY_SOLVERS = {"numpy", "dataclasses", "inspect"}
+_UNUSED_BY_HELP = _SOLVERS | _UNUSED_BY_SOLVERS | {"fractions", "decimal", "json"}
 
 
 # each entry point loads the modules its command runs and none of the others
@@ -663,24 +682,33 @@ _UNUSED_BY_HELP = _SOLVERS | {"fractions", "decimal", "json", "numpy", "dataclas
     [
         ("import mafia_odds", {"mafia_odds"}, _UNUSED_BY_HELP),
         ("import mafia_odds.cli", {"mafia_odds.cli"}, _UNUSED_BY_HELP),
+        ("import mafia_odds\nmafia_odds.__all__", _SOLVERS, _UNUSED_BY_SOLVERS),
         ("--help", {"mafia_odds.cli"}, _UNUSED_BY_HELP),
         (
             "evolve -n 9 -m 2 --mode discrete",
             {"mafia_odds.evolution"},
-            {"mafia_odds.montecarlo", "mafia_odds.winchance", "numpy"},
+            {"mafia_odds.montecarlo", "mafia_odds.winchance"} | _UNUSED_BY_SOLVERS,
         ),
         (
             "simulate -n 9 -m 2 --trials 100",
             {"mafia_odds.montecarlo", "numpy"},
-            {"mafia_odds.winchance", "mafia_odds.evolution"},
+            {"mafia_odds.winchance", "mafia_odds.evolution", "dataclasses"},
         ),
         (
             "table --max-n 5",
             {"mafia_odds.winchance"},
-            {"json", "mafia_odds.montecarlo", "numpy"},
+            {"json", "mafia_odds.montecarlo"} | _UNUSED_BY_SOLVERS,
         ),
     ],
-    ids=["import-package", "import-cli", "help", "evolve-discrete", "simulate", "table-csv"],
+    ids=[
+        "import-package",
+        "import-cli",
+        "import-namespace",
+        "help",
+        "evolve-discrete",
+        "simulate",
+        "table-csv",
+    ],
 )
 def test_an_entry_point_loads_only_what_it_runs(entry, loaded, skipped):
     if not entry.startswith("import "):
