@@ -10,10 +10,10 @@ Output contract (versioned; tests pin it):
   emitters), stable key order, full round-trip floats, exact values as
   "_num"/"_den" integer fields with null where not applicable.  The bytes
   are those of ``json.dumps(records, indent=2)``.  Each command declares
-  its field names once and yields rows of values in that order; each batch
-  of rows is encoded in one C-encoder call and laid out by one per-row
-  template, so a command holds about its output's size in memory.  The
-  whole output is rendered before anything is written.
+  its field names once and yields groups of records: a value all of a
+  group's records share is written once into its template, the others a
+  column at a time.  A command holds about its output's size in memory and
+  writes nothing before it has rendered the whole output.
 
 Exit codes: 0 success, 1 computation-domain error (e.g. an evolution time
 outside the validity window, a malformed MAFIA_ODDS_THREADS, or an integer
@@ -29,7 +29,8 @@ import argparse
 import math
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import floordiv, mul, truediv
 
 # Each handler imports the modules it runs, so --help and a command load
 # only what they use.  A solver is looked up on its module at call time,
@@ -42,44 +43,83 @@ class _ArgumentError(ValueError):
     """Flag-level problem; maps to exit code 2."""
 
 
-# the CSV cell of each value type a row holds
+# the CSV cell of each value type a record holds
 _CELL = {type(None): lambda _: "", float: "{:.12g}".format, int: str, str: str}
 
-_BATCH = 4096  # rows turned into one piece of text, so one batch's values are held
+_GROUP = 4096  # records per group where a handler transposes rows of scalars
 
 
-def _emit(fmt: str, fields: tuple[str, ...], rows, width: int | None = None):
-    """Yield a handler's rows as pieces of text: JSON objects keyed by ``fields``, or CSV.
+def _groups(rows):
+    """Transpose rows of scalars into groups of at most ``_GROUP`` records."""
+    rows = iter(rows)
+    return (tuple(map(list, zip(*batch))) for batch in iter(lambda: list(islice(rows, _GROUP)), []))
 
-    ``rows`` is one tuple (winchance, simulate) or an iterable of tuples of
-    scalars, each in the order of ``fields``.  CSV writes the first
-    ``width`` fields of each row, all of them by default.
+
+def _emit(fmt: str, fields: tuple[str, ...], groups, width: int | None = None):
+    """Yield a handler's records as pieces of text: JSON objects keyed by ``fields``, or CSV.
+
+    ``groups`` is one record of scalars (winchance, simulate) or an iterable
+    of groups: tuples aligned with ``fields`` whose items are lists, one value
+    per record, or scalars all the group's records share (only scalars: one
+    record).  Shared values are rendered once into the group's template, each
+    list in one call per exact value type; an item that is the very object the
+    group before held there is not encoded again.  CSV writes ``width`` fields.
     """
+    cells = _encoder(fmt)
     if fmt == "json":
         import json
-    if isinstance(rows, tuple):
-        if fmt == "json":
-            yield json.dumps(dict(zip(fields, rows)), indent=2) + "\n"
+
+        if isinstance(groups, tuple):
+            yield json.dumps(dict(zip(fields, groups)), indent=2) + "\n"
             return
-        rows = [rows]
-    rows = iter(rows)
-    batches = iter(lambda: list(islice(rows, _BATCH)), [])
-    if fmt == "json":
-        # indent=2 would take the pure-Python encoder; the C one encodes a
-        # batch's flat values, and JSON escapes "\n" inside strings, so it splits them
-        keys = [json.dumps(key).replace("%", "%%") for key in fields]
-        record = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-        lead = "[\n"
-        for batch in batches:
-            values = json.dumps([v for row in batch for v in row], separators=("\n", ":"))
-            yield lead + ",\n".join([record] * len(batch)) % tuple(values[1:-1].split("\n"))
+        heads = [f"    {json.dumps(key)}: ".replace("%", "%%") for key in fields]
+        comma, open_, close, between = ",\n", "  {\n", "\n  }", ",\n"
+    else:
+        groups = [groups] if isinstance(groups, tuple) else groups
+        heads, comma, open_, close, between = [""] * len(fields[:width]), ",", "", "", "\n"
+        yield ",".join(fields[:width]) + "\n"
+    lead, seen = "[\n", [(object(), "")] * len(heads)  # (item, text) of the group before
+    for group in groups:
+        parts, columns = [], []
+        for field, (head, item) in enumerate(zip(heads, group)):
+            if seen[field][0] is not item:
+                seen[field] = item, cells(item if type(item) is list else [item])
+            if type(item) is list:
+                columns.append(seen[field][1])
+                parts.append(head + "%s")
+            else:
+                parts.append(head + seen[field][1][0].replace("%", "%%"))
+        count = next((len(item) for item in group if type(item) is list), 1)
+        if count:
+            text = between.join([open_ + comma.join(parts) + close] * count)
+            text %= tuple(chain.from_iterable(zip(*columns)))
+            yield lead + text if fmt == "json" else text + "\n"
             lead = ",\n"
+    if fmt == "json":
         yield "[]\n" if lead == "[\n" else "\n]\n"
-        return
-    yield ",".join(fields[:width]) + "\n"
-    for batch in batches:
-        lines = [",".join([_CELL[type(v)](v) for v in row[:width]]) for row in batch]
-        yield "\n".join(lines) + "\n"
+
+
+def _encoder(fmt: str):
+    """A function giving the text of each value of a list, in one call per exact value type."""
+    if fmt == "csv":
+        plain, other = _CELL, lambda values: [_CELL[type(v)](v) for v in values]
+    else:
+        import json
+        from json.encoder import encode_basestring_ascii as text
+
+        # the encoder's own calls, a float's only while finite; else one call of the
+        # C encoder, which escapes "\n" inside strings, so it splits the values
+        plain = {int: int.__repr__, float: float.__repr__, str: text, type(None): lambda _: "null"}
+        other = lambda values: json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+
+    def cells(values: list) -> list[str]:
+        kinds = set(map(type, values))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind in plain and (kind is not float or fmt == "csv" or all(map(math.isfinite, values))):
+            return list(map(plain[kind], values))
+        return other(values) if values else []
+
+    return cells
 
 
 def _state(args: argparse.Namespace) -> tuple[int, int]:
@@ -97,12 +137,11 @@ def _need_max_n(args: argparse.Namespace, low: int) -> None:
         raise _ArgumentError(f"need --max-n >= {low}, got {args.max_n}")
 
 
-def _exact(num: int, den: int) -> tuple[int, int, float]:
-    """num/den in lowest terms, and its float (int / int rounds correctly)."""
-    if num == den:  # the n!! boundary cells of table rows
-        return 1, 1, 1.0
-    g = math.gcd(num, den)
-    return num // g, den // g, num / den
+def _exact(nums: list[int], den: int) -> tuple[list[int], list[int], list[float]]:
+    """Each num/den in lowest terms, a column each, and its float (int / int rounds correctly)."""
+    gcds = list(map(math.gcd, nums, repeat(den)))
+    dens = list(map(floordiv, repeat(den), gcds))
+    return list(map(floordiv, nums, gcds)), dens, list(map(truediv, nums, repeat(den)))
 
 
 _W_FIELDS = ("n", "m", "w_num", "w_den", "w_float")
@@ -127,23 +166,26 @@ def cmd_winchance(args: argparse.Namespace):
     else:
         value = evolution.win_chance_continuous(n, m)
     if type(value) is Fraction:
-        return _W_FIELDS, (n, m, *_exact(value.numerator, value.denominator))
+        return _W_FIELDS, (n, m, value.numerator, value.denominator, float(value))
     return _W_FIELDS, (n, m, None, None, float(value))
 
 
-def cmd_table(args: argparse.Namespace):
+def _table_groups(max_n: int, rule: str):
     from . import winchance
     from .core import BoundaryRule
 
+    boundary = BoundaryRule(rule)
+    for n, dfact, row in winchance.win_chance_rows(max_n, boundary):
+        if n >= 1:
+            # the cells below the first winning mafia count, then the n!! ones: w = 1
+            last = min(boundary.first_win(n), n + 1)
+            yield n, list(range(last)), *_exact(row[:last], dfact)
+            yield n, list(range(last, n + 1)), 1, 1, 1.0
+
+
+def cmd_table(args: argparse.Namespace):
     _need_max_n(args, 1)
-    boundary = BoundaryRule(args.boundary)
-    rows = (
-        (n, m, *_exact(value, dfact))
-        for n, dfact, row in winchance.win_chance_rows(args.max_n, boundary)
-        if n >= 1
-        for m, value in enumerate(row)
-    )
-    return _W_FIELDS, rows
+    return _W_FIELDS, _table_groups(args.max_n, args.boundary)
 
 
 def cmd_single_mafia(args: argparse.Namespace):
@@ -155,52 +197,60 @@ def cmd_single_mafia(args: argparse.Namespace):
         (n, num, den, num / den, winchance.win_chance_asymptotic(n, 1))
         for n, num, den in winchance._single_mafia_rows(args.max_n)
     )
-    return fields, rows
+    return fields, _groups(rows)
 
 
-def _evolve_discrete_rows(N: int, M: int, t_max: int):
+def _evolve_discrete_groups(N: int, M: int, t_max: int, kinds: list, ms: list):
     from . import evolution
 
     for t, den, q in evolution.discrete_path(N, M, t_max):
-        for m, x in enumerate(q):
-            num, d, value = _exact(x, den)
-            yield "discrete", "p", t, m, value, num, d
-        num, d, value = _exact(sum(m * x for m, x in enumerate(q)), den)
-        yield "discrete", "mean", t, None, value, num, d
+        num, d, value = _exact([*q, sum(map(mul, range(M + 1), q))], den)
+        yield "discrete", kinds, t, ms, value, num, d
 
 
-def _evolve_continuous_rows(N: int, M: int, t_max: float, spu: int):
+def _evolve_continuous_groups(N: int, M: int, last: int, spu: int, kinds: list, ms: list):
     from . import evolution
 
-    # bound t_max to [-1, N] so the count cannot overflow: the first sample past
-    # N/2 is still refused, and a negative t_max still gives no sample
-    for j in range(math.floor(min(max(t_max, -1.0), N) * spu) + 1):
+    binomials = [(m, math.comb(M, m)) for m in range(M + 1)]
+    for j in range(last + 1):
         t = j / spu
-        for m, p in enumerate(evolution._pm_row(N, M, t, range(M + 1))):
-            yield "continuous", "p", t, m, p, None, None
-        mean = evolution.mean_continuous(N, M, t)
-        yield "continuous", "mean", t, None, mean, None, None
+        values = evolution._pm_row(N, M, t, binomials)
+        values.append(evolution.mean_continuous(N, M, t))
+        yield "continuous", kinds, t, ms, values, None, None
 
 
 def cmd_evolve(args: argparse.Namespace):
+    from . import evolution
+    from .core import check_window
+
     N, M = _state(args)
     if N < 1:
         raise _ArgumentError(f"need --players >= 1, got {N}")
-    if args.samples_per_unit < 1:
-        raise _ArgumentError(f"need --samples-per-unit >= 1, got {args.samples_per_unit}")
+    spu = args.samples_per_unit
+    if spu < 1:
+        raise _ArgumentError(f"need --samples-per-unit >= 1, got {spu}")
     if args.t_max is not None and not math.isfinite(args.t_max):
         raise _ArgumentError(f"need a finite --t-max, got {args.t_max}")
-    rows = []
+    # one group per turn or sample: its p records for m = 0..M, then its mean
+    kinds, ms, groups = ["p"] * (M + 1) + ["mean"], [*range(M + 1), None], []
     if args.mode in ("discrete", "both"):
-        # default: sweep the whole validity window
+        # default: sweep the whole validity window; a turn past it is refused up front
         t_max = (N - M) // 2 if args.t_max is None else math.floor(args.t_max)
-        rows.append(_evolve_discrete_rows(N, M, t_max))
+        if t_max > (N - M) // 2:
+            check_window(N, M, (N - M) // 2 + 1)
+        groups.append(_evolve_discrete_groups(N, M, t_max, kinds, ms))
     if args.mode in ("continuous", "both"):
         t_max = N / 2 if args.t_max is None else args.t_max
-        rows.append(_evolve_continuous_rows(N, M, t_max, args.samples_per_unit))
+        # bound t_max to [-1, N] so the count cannot overflow; a negative t_max gives no sample
+        last = math.floor(min(max(t_max, -1.0), N) * spu)
+        # the first sample past N/2, j = N spu // 2 + 1, is refused up front; where j / spu
+        # rounds to N/2 (N spu past 2**53) the loop refuses the first one that does not
+        if last > N * spu // 2:
+            evolution._survival(N, (N * spu // 2 + 1) / spu)
+        groups.append(_evolve_continuous_groups(N, M, last, spu, kinds, ms))
     # CSV keeps the first five fields; the exact pair is JSON-only
     fields = ("mode", "kind", "t", "m", "value", "value_num", "value_den")
-    return fields, chain.from_iterable(rows), 5
+    return fields, chain.from_iterable(groups), 5
 
 
 def cmd_optimal(args: argparse.Namespace):
@@ -212,7 +262,7 @@ def cmd_optimal(args: argparse.Namespace):
         for n, m in winchance.optimal_mafia_rows(args.max_n)
         if n >= 2
     )
-    return ("n", "m_opt_numeric", "m_opt_approx"), rows
+    return ("n", "m_opt_numeric", "m_opt_approx"), _groups(rows)
 
 
 def cmd_simulate(args: argparse.Namespace):

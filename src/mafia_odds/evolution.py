@@ -159,15 +159,15 @@ def pm_continuous(N: int, M: int, m: int, t: float) -> float:
     check_initial(N, M)
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")
-    row = _pm_row(N, M, t, (m,) if m <= M else ())
+    row = _pm_row(N, M, t, [(m, math.comb(M, m))] if m <= M else ())
     return row[0] if row else 0.0
 
 
-def _pm_row(N: int, M: int, t: float, ms: Iterable[int]) -> list[float]:
-    """``pm_continuous(N, M, m, t)`` for each m in ``ms`` (all m <= M), one s for all."""
+def _pm_row(N: int, M: int, t: float, binomials: Iterable[tuple[int, int]]) -> list[float]:
+    """``pm_continuous(N, M, m, t)`` for each pair (m, C(M, m)) with m <= M, one s for all."""
     s = _survival(N, t)
     r = 1.0 - s
-    return [math.comb(M, m) * r ** (M - m) * s**m for m in ms]
+    return [c * r ** (M - m) * s**m for m, c in binomials]
 
 
 def peak_time(N: int, M: int, m: int) -> float:

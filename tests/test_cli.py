@@ -223,6 +223,47 @@ class TestEvolveCommand:
             f"mafia-odds: need 0 <= t <= N/2, got N=4, t={first_invalid}\n"
         )
 
+    # each is refused before its first turn or sample is computed; both modes
+    # check the discrete window first
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("-n 4000 -m 10 --mode discrete --t-max 2500",
+             "need 0 <= 2t <= N - M, got N=4000, M=10, t=1996"),
+            ("-n 100000 -m 1 --mode continuous --t-max 60000 --format json",
+             "need 0 <= t <= N/2, got N=100000, t=50000.125"),
+            ("-n 40 -m 2 --mode both --t-max 30", "need 0 <= 2t <= N - M, got N=40, M=2, t=20"),
+            ("-n 40 -m 0 --t-max 20.5 --samples-per-unit 3",
+             "need 0 <= t <= N/2, got N=40, t=20.333333333333332"),
+        ],
+    )
+    def test_a_late_failure_is_refused_before_any_row(self, monkeypatch, capsys, argv, message):
+        from mafia_odds import evolution
+
+        def never(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(evolution, "discrete_path", never)
+        monkeypatch.setattr(evolution, "_pm_row", never)
+        assert cli.main(["evolve", *argv.split()]) == 1
+        assert capsys.readouterr() == ("", f"mafia-odds: {message}\n")
+
+    # the binomial C(M, m) of each column stays with its m
+    @pytest.mark.parametrize("N, M", [(40, 7), (23, 23), (9, 0)])
+    def test_continuous_rows_are_the_library_values(self, capsys, N, M):
+        from mafia_odds.evolution import mean_continuous, pm_continuous
+
+        argv = f"evolve -n {N} -m {M} --mode continuous --samples-per-unit 3 --format json"
+        assert cli.main(argv.split()) == 0
+        rows = json.loads(capsys.readouterr().out)
+        times = sorted({row["t"] for row in rows})
+        assert len(times) == 3 * N // 2 + 1
+        for t in times:
+            p = [r["value"] for r in rows if r["t"] == t and r["kind"] == "p"]
+            assert p == [pm_continuous(N, M, m, t) for m in range(M + 1)]
+            (mean,) = [r["value"] for r in rows if r["t"] == t and r["kind"] == "mean"]
+            assert mean == mean_continuous(N, M, t)
+
     def test_zero_samples_per_unit_exits_2(self):
         proc = run_cli("evolve", "-n", "8", "-m", "2", "--samples-per-unit", "0")
         assert proc.returncode == 2
@@ -526,6 +567,47 @@ def _records(draw):
     return tuple(keys), [tuple(row) for row in rows]
 
 
+@st.composite
+def _keyed_groups(draw, values):
+    """Field names and groups of records: each item a list or a shared scalar.
+
+    Groups may be empty (lists of no values), hold scalars only (one record)
+    or pass on, as the very same objects, the items of the group before.
+    """
+    keys = draw(st.lists(st.text(_JSON_CHARS), min_size=1, max_size=4, unique=True))
+    groups = []
+    for _ in range(draw(st.integers(0, 5))):
+        count = draw(st.integers(0, 4))
+        group = []
+        for field in range(len(keys)):
+            if groups and draw(st.booleans()):
+                kept = groups[-1][field]
+                if type(kept) is not list or len(kept) == count:
+                    group.append(kept)
+                    continue
+            if draw(st.booleans()):
+                group.append(draw(values))
+            else:
+                group.append(draw(st.lists(values, min_size=count, max_size=count)))
+        groups.append(tuple(group))
+    return tuple(keys), groups
+
+
+def _expand(groups):
+    """The records of each group, a tuple of scalars each."""
+    records = []
+    for group in groups:
+        lists = [item for item in group if type(item) is list]
+        for i in range(len(lists[0]) if lists else 1):
+            records.append(tuple(item[i] if type(item) is list else item for item in group))
+    return records
+
+
+def _pieces(groups) -> int:
+    """The pieces of text a group emitter yields: one per group with a record, and one more."""
+    return 1 + sum(all(len(item) for item in group if type(item) is list) for group in groups)
+
+
 class TestEmitJson:
     @given(_records())
     def test_record_lists_match_the_indented_encoder(self, records):
@@ -539,26 +621,49 @@ class TestEmitJson:
         assert "".join(cli._emit("json", tuple(record), tuple(record.values()))) == expected
         assert "".join(cli._emit("json", ("n",), [])) == "[]\n"
 
-    # the records of one array cross batch boundaries, and rows come lazily
-    @pytest.mark.parametrize("batch", [1, 2])
+    # shared values and list columns of every type (bool too), with "%", "{"
+    # and "}" in keys and strings; each group with a record is one piece
+    @given(_keyed_groups(st.one_of(_JSON_VALUES, st.booleans())))
+    def test_groups_match_the_indented_encoder(self, keyed):
+        fields, groups = keyed
+        expected = json.dumps([dict(zip(fields, r)) for r in _expand(groups)], indent=2)
+        pieces = list(cli._emit("json", fields, iter(groups)))
+        assert "".join(pieces) == expected + "\n"
+        assert len(pieces) == _pieces(groups)
+
+    def test_empty_and_scalar_groups(self):
+        fields = ("n", "s", "x")
+        groups = [(1, [], []), (2, "%s{0}", None), ([], "a", []), ([3, 4], "b", [0.5, True])]
+        expected = json.dumps([dict(zip(fields, r)) for r in _expand(groups)], indent=2)
+        assert len(_expand(groups)) == 3
+        assert "".join(cli._emit("json", fields, groups)) == expected + "\n"
+        assert "".join(cli._emit("json", fields, [(1, [], [])])) == "[]\n"
+
+    # rows of scalars are transposed into groups of at most _GROUP records
+    @pytest.mark.parametrize("size", [1, 2, 4096])
     @given(records=_records())
-    def test_batches_join_into_the_indented_encoder(self, batch, records):
+    def test_transposed_rows_match_the_indented_encoder(self, size, records):
         fields, rows = records
         expected = json.dumps([dict(zip(fields, row)) for row in rows], indent=2)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_BATCH", batch)
-            pieces = list(cli._emit("json", fields, iter(rows)))
-            empty = "".join(cli._emit("json", fields, iter(())))
-        assert "".join(pieces) == expected + "\n"
-        assert len(pieces) == -(-len(rows) // batch) + 1
-        assert empty == "[]\n"
+            patch.setattr(cli, "_GROUP", size)
+            groups = list(cli._groups(iter(rows)))
+        assert len(groups) == -(-len(rows) // size)
+        assert _expand(groups) == rows
+        assert "".join(cli._emit("json", fields, iter(groups))) == expected + "\n"
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return "%.12g" % value if isinstance(value, float) else str(value)
 
 
 class TestEmitCsv:
     FIELDS = ("n", "m", "x", "s", "big")
     ROWS = [(1, None, 0.1, "a", 1 << 70), (2, 3, -0.0, "", 5), (3, None, 1e-300, "b", -7)]
 
-    @pytest.mark.parametrize("batch", [1, 2, 4096])
+    @pytest.mark.parametrize("size", [1, 2, 4096])
     @pytest.mark.parametrize(
         "width,expected",
         [
@@ -567,13 +672,32 @@ class TestEmitCsv:
         ],
         ids=["all-fields", "width-3"],
     )
-    def test_batches_join_into_one_line_per_row(self, monkeypatch, batch, width, expected):
-        monkeypatch.setattr(cli, "_BATCH", batch)
-        assert "".join(cli._emit("csv", self.FIELDS, iter(self.ROWS), width)) == expected
+    def test_transposed_rows_join_into_one_line_per_row(
+        self, monkeypatch, size, width, expected
+    ):
+        monkeypatch.setattr(cli, "_GROUP", size)
+        groups = cli._groups(iter(self.ROWS))
+        assert "".join(cli._emit("csv", self.FIELDS, groups, width)) == expected
 
     def test_a_single_row_and_no_rows(self):
         assert "".join(cli._emit("csv", self.FIELDS, self.ROWS[1])) == "n,m,x,s,big\n2,3,-0,,5\n"
         assert "".join(cli._emit("csv", self.FIELDS, iter(()), 2)) == "n,m\n"
+
+    # every scalar a CSV cell is written for, against one cell at a time
+    @pytest.mark.parametrize("width", [None, 2])
+    @given(keyed=_keyed_groups(_JSON_VALUES))
+    def test_groups_match_a_cell_by_cell_reference(self, width, keyed):
+        fields, groups = keyed
+        lines = [",".join(fields[:width])]
+        lines += [",".join(map(_csv_cell, r[:width])) for r in _expand(groups)]
+        pieces = list(cli._emit("csv", fields, iter(groups), width))
+        assert "".join(pieces) == "\n".join(lines) + "\n"
+        assert len(pieces) == _pieces(groups)
+
+    def test_empty_and_scalar_groups(self):
+        groups = [(1, [], []), (2, "%s{0}", None), ([], "a", []), ([3, 4], "b", [0.5, "%d"])]
+        expected = "n,s,x\n2,%s{0},\n3,b,0.5\n4,b,%d\n"
+        assert "".join(cli._emit("csv", ("n", "s", "x"), groups)) == expected
 
 
 @pytest.mark.skipif(
@@ -613,7 +737,8 @@ class TestDigitLimit:
 
 
 class TestLargeOutput:
-    # fails at t = 200.125, the first sample past N/2, after 51,232 rows
+    # fails at t = 200.125, the first sample past N/2, refused before the
+    # 51,232 rows ahead of it are computed
     LATE_FAILURE = ["evolve", "-n", "400", "-m", "30", "--mode", "continuous", "--t-max", "300"]
     MESSAGE = "mafia-odds: need 0 <= t <= N/2, got N=400, t=200.125\n"
 
