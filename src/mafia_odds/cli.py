@@ -62,8 +62,7 @@ def _emit(fmt: str, fields: tuple[str, ...], groups, width: int | None = None):
     of groups: tuples aligned with ``fields`` whose items are lists, one value
     per record, or scalars all the group's records share (only scalars: one
     record).  Shared values are rendered once into the group's template, each
-    list in one call per exact value type; an item that is the very object the
-    group before held there is not encoded again.  CSV writes ``width`` fields.
+    list in one call per exact value type.  CSV writes ``width`` fields.
     """
     cells = _encoder(fmt)
     if fmt == "json":
@@ -78,17 +77,15 @@ def _emit(fmt: str, fields: tuple[str, ...], groups, width: int | None = None):
         groups = [groups] if isinstance(groups, tuple) else groups
         heads, comma, open_, close, between = [""] * len(fields[:width]), ",", "", "", "\n"
         yield ",".join(fields[:width]) + "\n"
-    lead, seen = "[\n", [(object(), "")] * len(heads)  # (item, text) of the group before
+    lead = "[\n"
     for group in groups:
         parts, columns = [], []
-        for field, (head, item) in enumerate(zip(heads, group)):
-            if seen[field][0] is not item:
-                seen[field] = item, cells(item if type(item) is list else [item])
+        for head, item in zip(heads, group):
             if type(item) is list:
-                columns.append(seen[field][1])
+                columns.append(cells(item))
                 parts.append(head + "%s")
             else:
-                parts.append(head + seen[field][1][0].replace("%", "%%"))
+                parts.append(head + cells([item])[0].replace("%", "%%"))
         count = next((len(item) for item in group if type(item) is list), 1)
         if count:
             text = between.join([open_ + comma.join(parts) + close] * count)

@@ -742,16 +742,46 @@ class TestLargeOutput:
     LATE_FAILURE = ["evolve", "-n", "400", "-m", "30", "--mode", "continuous", "--t-max", "300"]
     MESSAGE = "mafia-odds: need 0 <= t <= N/2, got N=400, t=200.125\n"
 
-    def test_a_failure_after_the_first_batch_writes_nothing(self, tmp_path, capsys):
-        assert cli.main(self.LATE_FAILURE) == 1
-        assert capsys.readouterr() == ("", self.MESSAGE)
+    @staticmethod
+    def _writes_nothing(argv, message, tmp_path, capsys):
+        """The command fails with ``message`` and leaves stdout, a new and an existing file alone."""
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", message)
         new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
         existing.write_bytes(b"earlier output\n")
         for target in (new, existing):
-            assert cli.main([*self.LATE_FAILURE, "--output", str(target)]) == 1
-            assert capsys.readouterr() == ("", self.MESSAGE)
+            assert cli.main([*argv, "--output", str(target)]) == 1
+            assert capsys.readouterr() == ("", message)
         assert not new.exists()
         assert existing.read_bytes() == b"earlier output\n"
+
+    def test_a_refused_late_sample_writes_nothing(self, tmp_path, capsys):
+        self._writes_nothing(self.LATE_FAILURE, self.MESSAGE, tmp_path, capsys)
+
+    def test_a_failure_after_the_first_batch_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # the mean fails from t = 100 on, after the groups of the samples before it are rendered
+        from mafia_odds import evolution
+
+        emit, mean, rendered, at_failure = cli._emit, evolution.mean_continuous, [], []
+
+        def counted_emit(*args):
+            for piece in emit(*args):
+                rendered.append(piece)
+                yield piece
+
+        def failing_mean(N, M, t):
+            if t >= 100:
+                at_failure.append(len(rendered))
+                rendered.clear()
+                raise ValueError("a late failure")
+            return mean(N, M, t)
+
+        monkeypatch.setattr(cli, "_emit", counted_emit)
+        monkeypatch.setattr(evolution, "mean_continuous", failing_mean)
+        argv = ["evolve", "-n", "400", "-m", "30", "--mode", "continuous", "--format", "json"]
+        self._writes_nothing(argv, "mafia-odds: a late failure\n", tmp_path, capsys)
+        assert len(at_failure) == 3
+        assert all(at_failure)  # output had started to render each time
 
     def test_memory_follows_the_output(self, tmp_path):
         # each batch is rendered to text as it completes, so the traced peak
