@@ -22,11 +22,11 @@ def main() -> None:
     args = parser.parse_args()
 
     print("n,m,exact,asymptotic,continuous,linearized,err_asym,err_cont,err_lin")
-    for n, dfact, row in win_chance_rows(args.max_n):
+    for n, den, row in win_chance_rows(args.max_n):
         if n < 1:
             continue
         for m, value in enumerate(row):
-            exact = value / dfact
+            exact = value / den
             approx = (
                 win_chance_asymptotic(n, m),
                 win_chance_continuous(n, m),

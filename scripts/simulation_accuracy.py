@@ -29,8 +29,8 @@ def main() -> None:
     print("n,m,exact,estimate,std_error,z")
     worst = 0.0
     flags = 0
-    # one sweep of the recurrence gives every exact w(n, m) = row[m] / n!!
-    for n, dfact, row in win_chance_rows(args.max_n, boundary):
+    # one sweep of the recurrence gives every exact w(n, m) = row[m] / den
+    for n, den, row in win_chance_rows(args.max_n, boundary):
         if n == 0:
             continue  # the report starts at n = 1
         for m in range(0, n + 1):
@@ -38,7 +38,7 @@ def main() -> None:
             report = estimate_win_chance(
                 n, m, boundary, args.trials, seed=args.seed + 1000 * n + m
             )
-            exact = row[m] / dfact
+            exact = row[m] / den
             diff = abs(report.estimate - exact)
             z = diff / report.std_error if report.std_error else 0.0
             worst = max(worst, z)

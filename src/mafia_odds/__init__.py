@@ -9,8 +9,9 @@ simulator.  The ``mafia-odds`` CLI exposes all of it as CSV/JSON tables.
 
 The namespace is ``__version__`` plus the ``__all__`` lists of ``core``,
 ``evolution``, ``montecarlo`` and ``winchance``.  Nothing is imported up
-front: ``mafia_odds.core`` loads that module alone, and the first public
-name, ``__all__`` or ``dir()`` loads all four and binds every name once.
+front: a submodule, as ``mafia_odds.core`` or ``from mafia_odds import cli``,
+loads that module alone, and the first public name, ``__all__`` or
+``dir()`` loads all four and binds every name once.
 """
 
 import importlib
@@ -28,7 +29,8 @@ _MODULES = ("core", "evolution", "montecarlo", "winchance")
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    # ``from mafia_odds import cli`` asks for the attribute before it imports the submodule
+    if name in _MODULES or name == "cli":
         return importlib.import_module(f".{name}", __name__)
     # a probe such as __wrapped__ names no public function, so it loads nothing
     if name != "__all__" and name.startswith("__"):

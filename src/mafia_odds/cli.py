@@ -11,9 +11,10 @@ Output contract (versioned; tests pin it):
   "_num"/"_den" integer fields with null where not applicable.  The bytes
   are those of ``json.dumps(records, indent=2)``.  Each command declares
   its field names once and yields groups of records: a value all of a
-  group's records share is written once into its template, the others a
-  column at a time.  A command holds about its output's size in memory and
-  writes nothing before it has rendered the whole output.
+  group's records share is written once into its template, and each other
+  column is one typed %-code (``%d``, ``%.12g``, ``%r``, ``%s``) that
+  converts every cell once.  A command holds about its output's size in
+  memory and writes nothing before it has rendered the whole output.
 
 Exit codes: 0 success, 1 computation-domain error (e.g. an evolution time
 outside the validity window, a malformed MAFIA_ODDS_THREADS, or an integer
@@ -43,8 +44,8 @@ class _ArgumentError(ValueError):
     """Flag-level problem; maps to exit code 2."""
 
 
-# the CSV cell of each value type a record holds
-_CELL = {type(None): lambda _: "", float: "{:.12g}".format, int: str, str: str}
+# the CSV cell of a value in a column of mixed types; any other type is its str
+_CELL = {type(None): lambda _: "", float: "{:.12g}".format}
 
 _GROUP = 4096  # records per group where a handler transposes rows of scalars
 
@@ -59,12 +60,14 @@ def _emit(fmt: str, fields: tuple[str, ...], groups, width: int | None = None):
     """Yield a handler's records as pieces of text: JSON objects keyed by ``fields``, or CSV.
 
     ``groups`` is one record of scalars (winchance, simulate) or an iterable
-    of groups: tuples aligned with ``fields`` whose items are lists, one value
-    per record, or scalars all the group's records share (only scalars: one
-    record).  Shared values are rendered once into the group's template, each
-    list in one call per exact value type.  CSV writes ``width`` fields.
+    of groups: tuples aligned with ``fields`` whose items are columns (a list
+    or tuple, one value per record) or scalars all the group's records share
+    (only scalars: one record).  A group is one %-template: a shared value is
+    written into it once, a column is one typed code that the single % pass
+    applies to each value.  A tuple or scalar that recurs, the same object,
+    at its position reuses its encoding.  CSV writes ``width`` fields.
     """
-    cells = _encoder(fmt)
+    column = _encoder(fmt)
     if fmt == "json":
         import json
 
@@ -77,16 +80,16 @@ def _emit(fmt: str, fields: tuple[str, ...], groups, width: int | None = None):
         groups = [groups] if isinstance(groups, tuple) else groups
         heads, comma, open_, close, between = [""] * len(fields[:width]), ",", "", "", "\n"
         yield ",".join(fields[:width]) + "\n"
-    lead = "[\n"
+    lead, seen = "[\n", [(object(),)] * len(heads)  # per position: last item, its part and column
     for group in groups:
-        parts, columns = [], []
-        for head, item in zip(heads, group):
-            if type(item) is list:
-                columns.append(cells(item))
-                parts.append(head + "%s")
-            else:
-                parts.append(head + cells([item])[0].replace("%", "%%"))
-        count = next((len(item) for item in group if type(item) is list), 1)
+        for i, (head, item) in enumerate(zip(heads, group)):
+            if item is not seen[i][0] or type(item) is list:
+                many = type(item) in (list, tuple)
+                code, values = column(item if many else [item])
+                part = head + (code if many else (code % values[0]).replace("%", "%%"))
+                seen[i] = item, part, values if many else None
+        parts, columns = [s[1] for s in seen], [s[2] for s in seen if s[2] is not None]
+        count = next((len(item) for item in group if type(item) in (list, tuple)), 1)
         if count:
             text = between.join([open_ + comma.join(parts) + close] * count)
             text %= tuple(chain.from_iterable(zip(*columns)))
@@ -97,26 +100,31 @@ def _emit(fmt: str, fields: tuple[str, ...], groups, width: int | None = None):
 
 
 def _encoder(fmt: str):
-    """A function giving the text of each value of a list, in one call per exact value type."""
+    """A function giving a column's %-code and the values that code formats.
+
+    A column of one type gets a typed code: ``%d`` for int, ``%.12g`` for a
+    CSV float, ``%r`` (the JSON encoder's text) for a JSON float while all
+    are finite, ``%s`` for a str, quoted by the encoder's own call in JSON.
+    Any other column gets ``%s`` and each value's text: its CSV cell, or one
+    call of the C encoder, which escapes "\\n" inside strings, so it splits them.
+    """
+    codes = {int: "%d", float: "%.12g" if fmt == "csv" else "%r", str: "%s"}
     if fmt == "csv":
-        plain, other = _CELL, lambda values: [_CELL[type(v)](v) for v in values]
+        quote, other = None, lambda values: [_CELL.get(type(v), str)(v) for v in values]
     else:
         import json
-        from json.encoder import encode_basestring_ascii as text
+        from json.encoder import encode_basestring_ascii as quote
 
-        # the encoder's own calls, a float's only while finite; else one call of the
-        # C encoder, which escapes "\n" inside strings, so it splits the values
-        plain = {int: int.__repr__, float: float.__repr__, str: text, type(None): lambda _: "null"}
         other = lambda values: json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
 
-    def cells(values: list) -> list[str]:
+    def column(values) -> tuple[str, list]:
         kinds = set(map(type, values))
         kind = kinds.pop() if len(kinds) == 1 else None
-        if kind in plain and (kind is not float or fmt == "csv" or all(map(math.isfinite, values))):
-            return list(map(plain[kind], values))
-        return other(values) if values else []
+        if kind not in codes or kind is float and quote and not all(map(math.isfinite, values)):
+            return "%s", other(values) if values else []
+        return codes[kind], list(map(quote, values)) if kind is str and quote else values
 
-    return cells
+    return column
 
 
 def _state(args: argparse.Namespace) -> tuple[int, int]:
@@ -149,7 +157,7 @@ _METHODS = ("recurrence", "closed", "asymptotic", "continuous")
 def cmd_winchance(args: argparse.Namespace):
     from fractions import Fraction
 
-    from . import evolution, winchance
+    from . import winchance
     from .core import BoundaryRule
 
     n, m = _state(args)
@@ -161,6 +169,8 @@ def cmd_winchance(args: argparse.Namespace):
     elif args.method == "asymptotic":
         value = winchance.win_chance_asymptotic(n, m)
     else:
+        from . import evolution
+
         value = evolution.win_chance_continuous(n, m)
     if type(value) is Fraction:
         return _W_FIELDS, (n, m, value.numerator, value.denominator, float(value))
@@ -172,11 +182,11 @@ def _table_groups(max_n: int, rule: str):
     from .core import BoundaryRule
 
     boundary = BoundaryRule(rule)
-    for n, dfact, row in winchance.win_chance_rows(max_n, boundary):
+    for n, den, row in winchance.win_chance_rows(max_n, boundary):
         if n >= 1:
-            # the cells below the first winning mafia count, then the n!! ones: w = 1
+            # the cells below the first winning mafia count, then the ones equal to den: w = 1
             last = min(boundary.first_win(n), n + 1)
-            yield n, list(range(last)), *_exact(row[:last], dfact)
+            yield n, list(range(last)), *_exact(row[:last], den)
             yield n, list(range(last, n + 1)), 1, 1, 1.0
 
 
@@ -197,7 +207,7 @@ def cmd_single_mafia(args: argparse.Namespace):
     return fields, _groups(rows)
 
 
-def _evolve_discrete_groups(N: int, M: int, t_max: int, kinds: list, ms: list):
+def _evolve_discrete_groups(N: int, M: int, t_max: int, kinds: tuple, ms: tuple):
     from . import evolution
 
     for t, den, q in evolution.discrete_path(N, M, t_max):
@@ -205,7 +215,7 @@ def _evolve_discrete_groups(N: int, M: int, t_max: int, kinds: list, ms: list):
         yield "discrete", kinds, t, ms, value, num, d
 
 
-def _evolve_continuous_groups(N: int, M: int, last: int, spu: int, kinds: list, ms: list):
+def _evolve_continuous_groups(N: int, M: int, last: int, spu: int, kinds: tuple, ms: tuple):
     from . import evolution
 
     binomials = [(m, math.comb(M, m)) for m in range(M + 1)]
@@ -229,7 +239,7 @@ def cmd_evolve(args: argparse.Namespace):
     if args.t_max is not None and not math.isfinite(args.t_max):
         raise _ArgumentError(f"need a finite --t-max, got {args.t_max}")
     # one group per turn or sample: its p records for m = 0..M, then its mean
-    kinds, ms, groups = ["p"] * (M + 1) + ["mean"], [*range(M + 1), None], []
+    kinds, ms, groups = ("p",) * (M + 1) + ("mean",), (*range(M + 1), None), []
     if args.mode in ("discrete", "both"):
         # default: sweep the whole validity window; a turn past it is refused up front
         t_max = (N - M) // 2 if args.t_max is None else math.floor(args.t_max)

@@ -30,7 +30,6 @@ from .core import (
     falling_product,
     log_double_factorial,
 )
-from .evolution import pm_closed
 
 __all__ = [
     "MonotonicityReport",
@@ -53,40 +52,63 @@ __all__ = [
 def _ladder(
     top: int, boundary: BoundaryRule, cap: int | None = None
 ) -> Iterator[tuple[int, int, list[int]]]:
-    """Yield (n, n!!, row) for n = top % 2, top % 2 + 2, ..., top.
+    """Yield (n, L_n, row) for n = top % 2, top % 2 + 2, ..., top.
 
-    row[m] = W(n, m) = n!! w(n, m), an integer, because every step of the
-    recurrence divides by the live population only:
+    row[m] = V(n, m) = L_n w(n, m), an integer, for a scale L_n of O(n) bits:
 
-        W(n, m) = (n - m) W(n-2, m) + m W(n-2, m-1),
+        strict rule, even n = 2k:      L_n = 4^k;
+        ties rule, even n = 2k >= 4:   L_n = k 4^(k-1)  (L_n = 1 for n <= 2);
+        odd n = 2k + 1, either rule:   L_n = n C(2k, k).
 
-    with W = 0 at m = 0 and W = n!! once the boundary rule gives the mafia
-    the game, which also answers transient states with m > n - 2.  Every
-    row is complete: m = 0..n, or m = 0..cap if a cap is given, with n!!
-    filled in from its first boundary column on.  Only the previous row is
-    kept.
+    Then L_n / (n L_(n-2)) = 2/d with d = k (k - 1 for ties at even n), so
+    the recurrence steps as
+
+        V(n, m) = 2 ((n - m) V(n-2, m) + m V(n-2, m-1)) // d,
+
+    with V = 0 at m = 0 and V = L_n once the boundary rule gives the mafia
+    the game, which also answers transient states with m > n - 2.  The
+    division is exact because w(n, m) = -sum_{1 <= i <= m} C(m, i) (-1)^i F_i
+    with F_i = ``falling_product(n, boundary.lynch_days(n), i)``, and
+    L_n F_i is an integer for every i <= m < ``boundary.first_win(n)``.
+    With S(a, b) = (2a)! (2b)! / (a! b! (a+b)!), the super Catalan numbers,
+    which are integers (Gessel 1992), multiplying out the factors of F_i
+    gives, for a >= 0:
+
+        strict, n = 2k:  F_(2a+1) = +-S(a, k-a) / 4^k, and F_(2a) = 0 for a >= 1;
+        odd n = 2k + 1:  F_1 = 4^k / L_n, F_(2a) = +-S(a-1, k-a+1) / L_n for
+                         a >= 1, and F_(2a+1) = 0 for a >= 1;
+        ties, n = 2k:    F_1 = k C(2k-1, k-1) / L_n, F_2 = 1/k,
+                         F_(2a+1) = +-S(a-1, k-a) / L_n for a >= 1, and
+                         F_(2a) = 0 for a >= 2.
+
+    Every row is complete: m = 0..n, or m = 0..cap if a cap is given, with
+    L_n filled in from its first boundary column on.  Only the previous row
+    is kept.
     """
-    dfact, stay = 1, []
+    ties = boundary is BoundaryRule.TIES
+    den, stay = 1, []
     for n in range(top % 2, top + 1, 2):
-        dfact *= max(n, 1)  # 0!! = 1
+        d = n // 2 - (ties and n % 2 == 0)
+        den = 2 * n * den // d if d > 0 else 1  # L_n = 2n L_(n-2) / d; 1 while d <= 0
         width = n + 1 if cap is None else cap + 1
         last = min(boundary.first_win(n), width)
-        row = [0] + [(n - m) * stay[m] + m * stay[m - 1] for m in range(1, last)]
-        row += [dfact] * (width - last)
+        row = [0] + [2 * ((n - m) * stay[m] + m * stay[m - 1]) // d for m in range(1, last)]
+        row += [den] * (width - last)
         # the ladder's own copy, so the caller may keep or change the row;
-        # the strict step to n = 2 reads W(0, 1) = 0!! past n = 0's row
-        stay = row + [dfact]
-        yield n, dfact, row
+        # the strict step to n = 2 reads V(0, 1) = L_0 past n = 0's row
+        stay = row + [den]
+        yield n, den, row
 
 
 def win_chance_rows(
     max_n: int, boundary: BoundaryRule = BoundaryRule.STRICT_MAJORITY
 ) -> Iterator[tuple[int, int, list[int]]]:
-    """Yield (n, n!!, row) for n = 0, 1, ..., max_n with row[m] = n!! w(n, m).
+    """Yield (n, L_n, row) for n = 0, 1, ..., max_n with row[m] = L_n w(n, m).
 
     Every row is complete, 0 <= m <= n, and holds integers; w(n, m) is
-    ``Fraction(row[m], n!!)``.  Both parity ladders advance together, so
-    the whole sweep fills each of its O(max_n^2) cells once.
+    ``Fraction(row[m], L_n)``, where L_n is the O(n)-bit scale that
+    ``_ladder`` proves makes every row integral.  Both parity ladders advance
+    together, so the whole sweep fills each of its O(max_n^2) cells once.
     """
     if max_n < 0:
         raise ValueError(f"need max_n >= 0, got max_n={max_n}")
@@ -103,9 +125,9 @@ def win_chance_recurrence(
 ) -> Fraction:
     """Exact w(n, m) from the integer recurrence ladder, columns 0..m only."""
     check_state(n, m)
-    for _, dfact, row in _ladder(n, boundary, cap=m):
+    for _, den, row in _ladder(n, boundary, cap=m):
         pass
-    return Fraction(row[m], dfact)
+    return Fraction(row[m], den)
 
 
 def win_chance_single(n: int) -> Fraction:
@@ -146,6 +168,8 @@ def win_chance_closed(
     the game, n//2 under the strict rule and (n-1)//2 under ties.  For odd n
     the two agree, so both rules give the same w there.
     """
+    from .evolution import pm_closed
+
     return 1 - pm_closed(n, m, 0, boundary.lynch_days(n))
 
 
@@ -245,11 +269,11 @@ def parity_ratio(k: int) -> Fraction:
     return Fraction(even * even, odd * odd * (2 * k + 1))
 
 
-def _closest_to_half(dfact: int, row: list[int]) -> int:
-    """The m whose w = row[m]/n!! is closest to 1/2; ties go to smaller m."""
-    # w rises with m and ends past 1/2: the first c with 2 row[c] >= n!!, or c - 1
-    c = bisect.bisect_left(row, (dfact + 1) // 2)
-    return c - (dfact - 2 * row[c - 1] <= 2 * row[c] - dfact)
+def _closest_to_half(den: int, row: list[int]) -> int:
+    """The m whose w = row[m]/den is closest to 1/2; ties go to smaller m."""
+    # w rises with m and ends past 1/2: the first c with 2 row[c] >= den, or c - 1
+    c = bisect.bisect_left(row, (den + 1) // 2)
+    return c - (den - 2 * row[c - 1] <= 2 * row[c] - den)
 
 
 def optimal_mafia_rows(
@@ -266,9 +290,9 @@ def optimal_mafia_rows(
     """
     if max_n < 0:
         raise ValueError(f"need max_n >= 0, got max_n={max_n}")
-    for n, dfact, row in _both_ladders(max_n, boundary, math.isqrt(2 * max_n) + 1):
+    for n, den, row in _both_ladders(max_n, boundary, math.isqrt(2 * max_n) + 1):
         if n >= 1:
-            yield n, _closest_to_half(dfact, row)
+            yield n, _closest_to_half(den, row)
 
 
 def optimal_mafia_numeric(
@@ -278,9 +302,9 @@ def optimal_mafia_numeric(
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     # n's parity ladder only, at the cap that ``optimal_mafia_rows`` proves
-    for _, dfact, row in _ladder(n, boundary, math.isqrt(2 * n) + 1):
+    for _, den, row in _ladder(n, boundary, math.isqrt(2 * n) + 1):
         pass
-    return _closest_to_half(dfact, row)
+    return _closest_to_half(den, row)
 
 
 def optimal_mafia_approx(n: int) -> float:
@@ -341,8 +365,8 @@ def verify_monotonicity(
     if n_max < 3:
         raise ValueError(f"need n_max >= 3, got n_max={n_max}")
     rows = [
-        [Fraction(value, dfact) for value in row]
-        for _, dfact, row in win_chance_rows(n_max + 2, boundary)
+        [Fraction(value, den) for value in row]
+        for _, den, row in win_chance_rows(n_max + 2, boundary)
     ]
 
     def w(n: int, m: int) -> Fraction:

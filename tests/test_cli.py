@@ -549,14 +549,16 @@ class TestStdoutFailure:
 # print; the characters cover each escape class (quote, backslash, control,
 # non-ASCII, astral as a surrogate pair) and "%", which the template uses
 _JSON_CHARS = 'az09 "\\/\n\t\x00\x7f%s{}:,\u00e9\u2028\U0001f0a1'
-_JSON_VALUES = st.one_of(
+# the floats at the edges of "%.12g" and "%r": signed zero, the least
+# subnormal, the first power of ten repr writes with an exponent, non-finite
+_EDGE_FLOATS = [-0.0, 1e-300, 5e-324, 1e16, math.inf, -math.inf, math.nan]
+_JSON_TYPES = [
     st.none(),
-    st.integers(),
-    st.integers(min_value=-(1 << 3000), max_value=1 << 3000),
-    st.floats(),
-    st.sampled_from([-0.0, 1e-300, math.inf, -math.inf, math.nan]),
+    st.integers() | st.integers(min_value=-(1 << 3000), max_value=1 << 3000),
+    st.floats() | st.sampled_from(_EDGE_FLOATS),
     st.text(_JSON_CHARS),
-)
+]
+_JSON_VALUES = st.one_of(_JSON_TYPES)
 
 
 @st.composite
@@ -567,13 +569,19 @@ def _records(draw):
     return tuple(keys), [tuple(row) for row in rows]
 
 
-@st.composite
-def _keyed_groups(draw, values):
-    """Field names and groups of records: each item a list or a shared scalar.
+_COLUMN = (list, tuple)
 
-    Groups may be empty (lists of no values), hold scalars only (one record)
-    or pass on, as the very same objects, the items of the group before.
+
+@st.composite
+def _keyed_groups(draw):
+    """Field names and groups of records: each item a list, a tuple or a shared scalar.
+
+    A column holds one type (bool too), which gets a typed code, or mixed
+    types.  Groups may be empty (columns of no values), hold scalars only
+    (one record) or pass on, as the very same objects, the items of the
+    group before.
     """
+    types = [*_JSON_TYPES, st.booleans()]
     keys = draw(st.lists(st.text(_JSON_CHARS), min_size=1, max_size=4, unique=True))
     groups = []
     for _ in range(draw(st.integers(0, 5))):
@@ -582,13 +590,15 @@ def _keyed_groups(draw, values):
         for field in range(len(keys)):
             if groups and draw(st.booleans()):
                 kept = groups[-1][field]
-                if type(kept) is not list or len(kept) == count:
+                if type(kept) not in _COLUMN or len(kept) == count:
                     group.append(kept)
                     continue
             if draw(st.booleans()):
-                group.append(draw(values))
+                group.append(draw(st.one_of(types)))
             else:
-                group.append(draw(st.lists(values, min_size=count, max_size=count)))
+                values = draw(st.sampled_from([st.one_of(types), *types]))
+                column = draw(st.lists(values, min_size=count, max_size=count))
+                group.append(draw(st.sampled_from(_COLUMN))(column))
         groups.append(tuple(group))
     return tuple(keys), groups
 
@@ -597,15 +607,26 @@ def _expand(groups):
     """The records of each group, a tuple of scalars each."""
     records = []
     for group in groups:
-        lists = [item for item in group if type(item) is list]
-        for i in range(len(lists[0]) if lists else 1):
-            records.append(tuple(item[i] if type(item) is list else item for item in group))
+        columns = [item for item in group if type(item) in _COLUMN]
+        for i in range(len(columns[0]) if columns else 1):
+            records.append(tuple(item[i] if type(item) in _COLUMN else item for item in group))
     return records
+
+
+def _fresh(groups):
+    """The groups with every column a new object, so no column recurs."""
+    return [tuple(type(item)([*item]) if type(item) in _COLUMN else item for item in group)
+            for group in groups]
 
 
 def _pieces(groups) -> int:
     """The pieces of text a group emitter yields: one per group with a record, and one more."""
-    return 1 + sum(all(len(item) for item in group if type(item) is list) for group in groups)
+    return 1 + sum(all(len(item) for item in group if type(item) in _COLUMN) for group in groups)
+
+
+# one column recurring as the same tuple object, with "%" in its strings
+_REPEATED = ("a%s", "%%", "b")
+_REPEATED_GROUPS = [(1, _REPEATED, [0.5, True, None]), (2, _REPEATED, (1 << 3000, -0.0, "%d"))]
 
 
 class TestEmitJson:
@@ -621,15 +642,32 @@ class TestEmitJson:
         assert "".join(cli._emit("json", tuple(record), tuple(record.values()))) == expected
         assert "".join(cli._emit("json", ("n",), [])) == "[]\n"
 
-    # shared values and list columns of every type (bool too), with "%", "{"
-    # and "}" in keys and strings; each group with a record is one piece
-    @given(_keyed_groups(st.one_of(_JSON_VALUES, st.booleans())))
+    # shared values and list or tuple columns of every type (bool too), with
+    # "%", "{" and "}" in keys and strings; each group with a record is one
+    # piece, and recurring items give the bytes of fresh copies
+    @given(_keyed_groups())
     def test_groups_match_the_indented_encoder(self, keyed):
         fields, groups = keyed
         expected = json.dumps([dict(zip(fields, r)) for r in _expand(groups)], indent=2)
         pieces = list(cli._emit("json", fields, iter(groups)))
         assert "".join(pieces) == expected + "\n"
         assert len(pieces) == _pieces(groups)
+        assert "".join(cli._emit("json", fields, _fresh(groups))) == expected + "\n"
+
+    # the typed code of a finite float column is the encoder's own text
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    def test_a_finite_float_column_matches_the_encoder(self, values):
+        values += _EDGE_FLOATS[:4]
+        assert cli._encoder("json")(values) == ("%r", values)
+        assert ["%r" % x for x in values] == [json.dumps(x) for x in values]
+
+    def test_bool_columns_and_a_repeated_tuple_column(self):
+        fields = ("n", "s", "x")
+        groups = [*_REPEATED_GROUPS, (3, _REPEATED, (True, False, True))]
+        expected = json.dumps([dict(zip(fields, r)) for r in _expand(groups)], indent=2)
+        assert '"x": true' in expected and '"x": false' in expected
+        assert "".join(cli._emit("json", fields, groups)) == expected + "\n"
+        assert "".join(cli._emit("json", fields, _fresh(groups))) == expected + "\n"
 
     def test_empty_and_scalar_groups(self):
         fields = ("n", "s", "x")
@@ -656,7 +694,7 @@ class TestEmitJson:
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    return "%.12g" % value if isinstance(value, float) else str(value)
+    return "{:.12g}".format(value) if isinstance(value, float) else str(value)
 
 
 class TestEmitCsv:
@@ -683,9 +721,10 @@ class TestEmitCsv:
         assert "".join(cli._emit("csv", self.FIELDS, self.ROWS[1])) == "n,m,x,s,big\n2,3,-0,,5\n"
         assert "".join(cli._emit("csv", self.FIELDS, iter(()), 2)) == "n,m\n"
 
-    # every scalar a CSV cell is written for, against one cell at a time
+    # every scalar a CSV cell is written for (a bool as True or False),
+    # against one cell at a time; recurring items give the bytes of fresh copies
     @pytest.mark.parametrize("width", [None, 2])
-    @given(keyed=_keyed_groups(_JSON_VALUES))
+    @given(keyed=_keyed_groups())
     def test_groups_match_a_cell_by_cell_reference(self, width, keyed):
         fields, groups = keyed
         lines = [",".join(fields[:width])]
@@ -693,6 +732,21 @@ class TestEmitCsv:
         pieces = list(cli._emit("csv", fields, iter(groups), width))
         assert "".join(pieces) == "\n".join(lines) + "\n"
         assert len(pieces) == _pieces(groups)
+        assert "".join(cli._emit("csv", fields, _fresh(groups), width)) == "\n".join(lines) + "\n"
+
+    # the typed code of a float column and the format spec of a mixed one agree
+    @given(st.floats() | st.sampled_from(_EDGE_FLOATS))
+    def test_the_float_code_matches_the_format_spec(self, x):
+        assert "%.12g" % x == "{:.12g}".format(x)
+
+    def test_bool_columns_and_a_repeated_tuple_column(self):
+        groups = [*_REPEATED_GROUPS, (3, _REPEATED, (True, False, True))]
+        expected = (
+            f"n,s,x\n1,a%s,0.5\n1,%%,True\n1,b,\n2,a%s,{1 << 3000}\n2,%%,-0\n2,b,%d\n"
+            "3,a%s,True\n3,%%,False\n3,b,True\n"
+        )
+        assert "".join(cli._emit("csv", ("n", "s", "x"), groups)) == expected
+        assert "".join(cli._emit("csv", ("n", "s", "x"), _fresh(groups))) == expected
 
     def test_empty_and_scalar_groups(self):
         groups = [(1, [], []), (2, "%s{0}", None), ([], "a", []), ([3, 4], "b", [0.5, "%d"])]
@@ -837,6 +891,7 @@ _UNUSED_BY_HELP = _SOLVERS | _UNUSED_BY_SOLVERS | {"fractions", "decimal", "json
     [
         ("import mafia_odds", {"mafia_odds"}, _UNUSED_BY_HELP),
         ("import mafia_odds.cli", {"mafia_odds.cli"}, _UNUSED_BY_HELP),
+        ("import mafia_odds\nfrom mafia_odds import cli", {"mafia_odds.cli"}, _UNUSED_BY_HELP),
         ("import mafia_odds\nmafia_odds.__all__", _SOLVERS, _UNUSED_BY_SOLVERS),
         ("--help", {"mafia_odds.cli"}, _UNUSED_BY_HELP),
         (
@@ -852,17 +907,24 @@ _UNUSED_BY_HELP = _SOLVERS | _UNUSED_BY_SOLVERS | {"fractions", "decimal", "json
         (
             "table --max-n 5",
             {"mafia_odds.winchance"},
-            {"json", "mafia_odds.montecarlo"} | _UNUSED_BY_SOLVERS,
+            {"json", "mafia_odds.montecarlo", "mafia_odds.evolution"} | _UNUSED_BY_SOLVERS,
+        ),
+        (
+            "winchance -n 9 -m 2",
+            {"mafia_odds.winchance", "fractions"},
+            {"json", "mafia_odds.montecarlo", "mafia_odds.evolution"} | _UNUSED_BY_SOLVERS,
         ),
     ],
     ids=[
         "import-package",
         "import-cli",
+        "from-package-import-cli",
         "import-namespace",
         "help",
         "evolve-discrete",
         "simulate",
         "table-csv",
+        "winchance-recurrence",
     ],
 )
 def test_an_entry_point_loads_only_what_it_runs(entry, loaded, skipped):

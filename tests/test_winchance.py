@@ -23,7 +23,7 @@ from mafia_odds.winchance import (
     win_chance_single,
 )
 
-from oracles import brute_force_win_chance
+from oracles import brute_force_win_chance, double_factorial_rows
 
 STRICT = BoundaryRule.STRICT_MAJORITY
 TIES = BoundaryRule.TIES
@@ -78,6 +78,16 @@ class TestRecurrence:
                 )
 
 
+def ladder_scale(n: int, boundary: BoundaryRule) -> int:
+    """The scale L_n that ``winchance._ladder`` documents for row n."""
+    k = n // 2
+    if n % 2:
+        return n * math.comb(2 * k, k)
+    if boundary is TIES:
+        return 1 if n <= 2 else k << (n - 2)
+    return 1 << n
+
+
 ORACLE_ROWS = {
     boundary: list(win_chance_rows(14, boundary)) for boundary in (STRICT, TIES)
 }
@@ -87,22 +97,30 @@ class TestRows:
     @pytest.mark.parametrize("boundary", [STRICT, TIES])
     @given(st.integers(min_value=0, max_value=14))
     def test_rows_agree_with_game_tree_oracle(self, boundary, n):
-        row_n, dfact, row = ORACLE_ROWS[boundary][n]
-        assert row_n == n and dfact == double_factorial(n)
-        assert [Fraction(value, dfact) for value in row] == [
+        row_n, den, row = ORACLE_ROWS[boundary][n]
+        assert row_n == n and den == ladder_scale(n, boundary)
+        assert [Fraction(value, den) for value in row] == [
             brute_force_win_chance(n, m, boundary) for m in range(n + 1)
         ]
 
+    # the O(n)-bit scale against the plain n!! ladder, whose steps never divide
+    @pytest.mark.parametrize("boundary", [STRICT, TIES])
+    def test_rows_agree_with_the_double_factorial_ladder(self, boundary):
+        pairs = zip(win_chance_rows(400, boundary), double_factorial_rows(400, boundary))
+        for (n, den, row), (_, dfact, want) in pairs:
+            assert den == ladder_scale(n, boundary), n
+            assert [Fraction(v, den) for v in row] == [Fraction(W, dfact) for W in want], n
+
     def test_rows_agree_with_closed_form(self):
-        for n, dfact, row in win_chance_rows(60):
-            assert [Fraction(value, dfact) for value in row] == [
+        for n, den, row in win_chance_rows(60):
+            assert [Fraction(value, den) for value in row] == [
                 win_chance_closed(n, m) for m in range(n + 1)
             ], n
 
     def test_rows_are_complete_and_integer(self):
         rows = list(win_chance_rows(9, TIES))
         assert [n for n, _, _ in rows] == list(range(10))
-        for n, dfact, row in rows:
+        for n, den, row in rows:
             assert len(row) == n + 1
             assert all(isinstance(value, int) for value in row)
         assert list(win_chance_rows(0)) == [(0, 1, [0])]
@@ -357,10 +375,10 @@ class TestOptimalMafia:
 
     @pytest.mark.parametrize("boundary", [STRICT, TIES])
     def test_row_scan_matches_single_query(self, boundary):
-        # the first smallest gap |2 w - 1| n!! of each complete, uncapped row
+        # the first smallest gap |2 w - 1| L_n of each complete, uncapped row
         expected = []
-        for n, dfact, row in win_chance_rows(400, boundary):
-            gaps = [abs(2 * value - dfact) for value in row]
+        for n, den, row in win_chance_rows(400, boundary):
+            gaps = [abs(2 * value - den) for value in row]
             expected.append((n, gaps.index(min(gaps))))
         assert list(optimal_mafia_rows(400, boundary)) == expected[1:]
         for n, m_opt in expected[1:201]:
@@ -369,10 +387,10 @@ class TestOptimalMafia:
     @pytest.mark.parametrize("boundary", [STRICT, TIES])
     def test_every_row_crosses_one_half_by_the_proven_cap(self, boundary):
         # the column at which optimal_mafia_rows proves w(n, m) >= 1/2
-        for n, dfact, row in win_chance_rows(400, boundary):
+        for n, den, row in win_chance_rows(400, boundary):
             cap = math.isqrt(2 * n) + 1
             if cap <= n:
-                assert 2 * row[cap] >= dfact, n
+                assert 2 * row[cap] >= den, n
 
     def test_an_empty_sweep_and_a_negative_one(self):
         assert list(optimal_mafia_rows(0)) == []
@@ -424,8 +442,8 @@ class TestMonotonicity:
         self, monkeypatch, cell, source, label, state
     ):
         w = {
-            (n, m): Fraction(value, dfact)
-            for n, dfact, row in win_chance_rows(8)
+            (n, m): Fraction(value, den)
+            for n, den, row in win_chance_rows(8)
             for m, value in enumerate(row)
         }
         w[cell] = w[source]
