@@ -655,7 +655,7 @@ class TestEmitJson:
         assert "".join(cli._emit("json", fields, _fresh(groups))) == expected + "\n"
 
     # the typed code of a finite float column is the encoder's own text
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
     def test_a_finite_float_column_matches_the_encoder(self, values):
         values += _EDGE_FLOATS[:4]
         assert cli._encoder("json")(values) == ("%r", values)
@@ -738,6 +738,16 @@ class TestEmitCsv:
     @given(st.floats() | st.sampled_from(_EDGE_FLOATS))
     def test_the_float_code_matches_the_format_spec(self, x):
         assert "%.12g" % x == "{:.12g}".format(x)
+
+    def test_a_list_refilled_in_place_is_encoded_afresh(self):
+        column = [1, 2]
+
+        def groups():
+            yield 0, column
+            column[:] = [0.5, None]  # a new type, so a new code
+            yield 1, column
+
+        assert "".join(cli._emit("csv", ("t", "x"), groups())) == "t,x\n0,1\n0,2\n1,0.5\n1,\n"
 
     def test_bool_columns_and_a_repeated_tuple_column(self):
         groups = [*_REPEATED_GROUPS, (3, _REPEATED, (True, False, True))]
