@@ -9,19 +9,23 @@ Output contract (versioned; tests pin it):
 * JSON: single top-level object (winchance, simulate) or array (the table
   emitters), stable key order, full round-trip floats, exact values as
   "_num"/"_den" integer fields with null where not applicable.  The bytes
-  are those of ``json.dumps(records, indent=2)``.  Each command declares
-  its field names once and yields groups of records: a value all of a
-  group's records share is written once into its template, and each other
-  column is one typed %-code (``%d``, ``%.12g``, ``%r``, ``%s``) that
-  converts every cell once.  A command holds about its output's size in
-  memory and writes nothing before it has rendered the whole output.
+  are those of ``json.dumps(records, indent=2)``.
+
+Each command declares its field names once and yields groups of records (a
+single record is a group of one), which one loop renders in one frame per
+format: the CSV header, a JSON array's brackets or a JSON record's braces.
+A value all of a group's records share is written once into its template,
+and each other column is one typed %-code (``%d``, ``%.12g``, ``%r``,
+``%s``) that converts every cell once.  A command holds about its output's
+size in memory and writes nothing before it has rendered the whole output.
 
 Exit codes: 0 success, 1 computation-domain error (e.g. an evolution time
 outside the validity window, a malformed MAFIA_ODDS_THREADS, or an integer
 past float range where a float law needs it) or a failed write to stdout
 (silent when the reader has closed the pipe), 2 argument error (including a
-non-finite --t-max and an --output path that cannot be written, which is
-refused before anything is computed).
+non-finite --t-max, --method asymptotic or continuous with --boundary ties,
+whose laws hold for the strict rule only, and an --output path that cannot
+be written; each is refused before anything is computed).
 """
 
 from __future__ import annotations
@@ -59,28 +63,29 @@ def _groups(rows):
 def _emit(fmt: str, fields: tuple[str, ...], groups, width: int | None = None):
     """Yield a handler's records as pieces of text: JSON objects keyed by ``fields``, or CSV.
 
-    ``groups`` is one record of scalars (winchance, simulate) or an iterable
-    of groups: tuples aligned with ``fields`` whose items are columns (a list
-    or tuple, one value per record) or scalars all the group's records share
-    (only scalars: one record).  A group is one %-template: a shared value is
-    written into it once, a column is one typed code that the single % pass
-    applies to each value.  A tuple or scalar that recurs, the same object,
-    at its position reuses its encoding.  CSV writes ``width`` fields.
+    ``groups`` is an iterable of groups, tuples aligned with ``fields`` whose
+    items are columns (a list or tuple, one value per record) or scalars all
+    the group's records share, or one record of scalars (winchance, simulate):
+    a one-record group.  A group is one %-template: a shared value is written
+    into it once, a column is one typed code that the single % pass applies to
+    each value.  A tuple or scalar that recurs, the same object, at its
+    position reuses its encoding.  CSV writes ``width`` fields.
     """
-    column = _encoder(fmt)
-    if fmt == "json":
+    column, single = _encoder(fmt), isinstance(groups, tuple)
+    groups = [groups] if single else groups
+    # the frame: text before the first group, between records, after the last, and of none
+    if fmt == "json":  # one record is the top-level object, a table an array of objects
         import json
 
-        if isinstance(groups, tuple):
-            yield json.dumps(dict(zip(fields, groups)), indent=2) + "\n"
-            return
-        heads = [f"    {json.dumps(key)}: ".replace("%", "%%") for key in fields]
-        comma, open_, close, between = ",\n", "  {\n", "\n  }", ",\n"
+        pad = "" if single else "  "
+        heads = [f"{pad}  {json.dumps(key)}: ".replace("%", "%%") for key in fields]
+        comma, open_, close = ",\n", pad + "{\n", "\n" + pad + "}"
+        lead, sep, end, empty = ("", ",\n", "\n", "{}\n") if single else ("[\n", ",\n", "\n]\n", "[]\n")
     else:
-        groups = [groups] if isinstance(groups, tuple) else groups
-        heads, comma, open_, close, between = [""] * len(fields[:width]), ",", "", "", "\n"
-        yield ",".join(fields[:width]) + "\n"
-    lead, seen = "[\n", [(object(),)] * len(heads)  # per position: last item, its part and column
+        heads, comma, open_, close = [""] * len(fields[:width]), ",", "", ""
+        lead = empty = ",".join(fields[:width]) + "\n"
+        sep = end = "\n"
+    seen = [(object(),)] * len(heads)  # per position: last item, its part and column
     for group in groups:
         for i, (head, item) in enumerate(zip(heads, group)):
             if item is not seen[i][0] or type(item) is list:
@@ -91,12 +96,10 @@ def _emit(fmt: str, fields: tuple[str, ...], groups, width: int | None = None):
         parts, columns = [s[1] for s in seen], [s[2] for s in seen if s[2] is not None]
         count = next((len(item) for item in group if type(item) in (list, tuple)), 1)
         if count:
-            text = between.join([open_ + comma.join(parts) + close] * count)
-            text %= tuple(chain.from_iterable(zip(*columns)))
-            yield lead + text if fmt == "json" else text + "\n"
-            lead = ",\n"
-    if fmt == "json":
-        yield "[]\n" if lead == "[\n" else "\n]\n"
+            text = sep.join([open_ + comma.join(parts) + close] * count)
+            yield lead + text % tuple(chain.from_iterable(zip(*columns)))
+            lead = sep
+    yield end if lead is sep else empty  # lead is sep once a group is out
 
 
 def _encoder(fmt: str):
@@ -162,6 +165,9 @@ def cmd_winchance(args: argparse.Namespace):
 
     n, m = _state(args)
     boundary = BoundaryRule(args.boundary)
+    if args.method in ("asymptotic", "continuous") and args.boundary == "ties":
+        # both laws are stated for the strict rule only
+        raise _ArgumentError(f"--method {args.method} has no law for --boundary ties")
     if args.method == "recurrence":
         value = winchance.win_chance_recurrence(n, m, boundary)
     elif args.method == "closed":

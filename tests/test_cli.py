@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import errno
 import hashlib
 import io
@@ -13,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mafia_odds import cli, winchance
 from mafia_odds.evolution import evolve_discrete, mean_discrete
@@ -88,6 +89,24 @@ class TestWinchanceCommand:
     def test_tie_boundary_recurrence_works(self):
         proc = run_cli("winchance", "-n", "4", "-m", "2", "--boundary", "ties")
         assert proc.stdout.decode().splitlines()[1] == "4,2,1,1,1"
+
+    @pytest.mark.parametrize("method", ["asymptotic", "continuous"])
+    def test_an_approximate_method_with_tie_boundary_is_refused_before_computing(
+        self, monkeypatch, capsys, method
+    ):
+        # both laws are stated for the strict rule only; neither may be called
+        from mafia_odds import evolution
+
+        def law(*args):
+            raise AssertionError("a law was computed")
+
+        monkeypatch.setattr(winchance, "win_chance_asymptotic", law)
+        monkeypatch.setattr(evolution, "win_chance_continuous", law)
+        argv = ["winchance", "-n", "10", "-m", "2", "--method", method, "--boundary", "ties"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"mafia-odds: --method {method} has no law for --boundary ties\n"
+        )
 
     def test_methods_call_the_module_attribute(self, monkeypatch, capsys):
         # a wrapper put on winchance.<solver> (the benchmark's tracer does
@@ -569,6 +588,39 @@ def _records(draw):
     return tuple(keys), [tuple(row) for row in rows]
 
 
+# integers past CPython's default int-to-str limit of 4,300 digits, and every
+# scalar a single record is written for
+_HUGE_INTS = st.integers(10**4300, 10**4400) | st.integers(-(10**4400), -(10**4300))
+_RECORD_VALUES = st.one_of(*_JSON_TYPES, st.booleans(), _HUGE_INTS)
+
+
+@st.composite
+def _single_record(draw):
+    keys = draw(st.lists(st.text(_JSON_CHARS), min_size=1, max_size=5, unique=True))
+    return tuple(keys), tuple(draw(st.lists(_RECORD_VALUES, min_size=len(keys), max_size=len(keys))))
+
+
+# one record holding each edge a single record renders
+_EDGE_RECORD = (
+    ("n", "w_num", "x", "y", "z", "w", "b", "%s"),
+    (10**4301 + 7, -(10**4350), math.nan, math.inf, -0.0, None, True, 'a%s "b"\n%d'),
+)
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Lift CPython's int-to-str digit limit (Python >= 3.10.7) while the block runs."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 _COLUMN = (list, tuple)
 
 
@@ -641,6 +693,15 @@ class TestEmitJson:
         expected = json.dumps(record, indent=2) + "\n"
         assert "".join(cli._emit("json", tuple(record), tuple(record.values()))) == expected
         assert "".join(cli._emit("json", ("n",), [])) == "[]\n"
+
+    # one record alone is the top-level object, whatever its values
+    @given(_single_record())
+    @example(_EDGE_RECORD)
+    def test_a_single_record_matches_the_indented_encoder(self, record):
+        fields, values = record
+        with _no_digit_limit():
+            expected = json.dumps(dict(zip(fields, values)), indent=2) + "\n"
+            assert "".join(cli._emit("json", fields, values)) == expected
 
     # shared values and list or tuple columns of every type (bool too), with
     # "%", "{" and "}" in keys and strings; each group with a record is one
@@ -733,6 +794,16 @@ class TestEmitCsv:
         assert "".join(pieces) == "\n".join(lines) + "\n"
         assert len(pieces) == _pieces(groups)
         assert "".join(cli._emit("csv", fields, _fresh(groups), width)) == "\n".join(lines) + "\n"
+
+    # one record alone is the header and one line, whatever its values
+    @pytest.mark.parametrize("width", [None, 2])
+    @given(record=_single_record())
+    @example(record=_EDGE_RECORD)
+    def test_a_single_record_matches_a_cell_by_cell_reference(self, width, record):
+        fields, values = record
+        with _no_digit_limit():
+            expected = ",".join(fields[:width]) + "\n" + ",".join(map(_csv_cell, values[:width]))
+            assert "".join(cli._emit("csv", fields, values, width)) == expected + "\n"
 
     # the typed code of a float column and the format spec of a mixed one agree
     @given(st.floats() | st.sampled_from(_EDGE_FLOATS))
