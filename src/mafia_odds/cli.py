@@ -21,11 +21,11 @@ size in memory and writes nothing before it has rendered the whole output.
 
 Exit codes: 0 success, 1 computation-domain error (e.g. an evolution time
 outside the validity window, a malformed MAFIA_ODDS_THREADS, or an integer
-past float range where a float law needs it) or a failed write to stdout
-(silent when the reader has closed the pipe), 2 argument error (including a
-non-finite --t-max, --method asymptotic or continuous with --boundary ties,
-whose laws hold for the strict rule only, and an --output path that cannot
-be written; each is refused before anything is computed).
+past float range where a float law needs it) or a failed write to stdout or
+to --output (silent when the reader of stdout has closed the pipe), 2
+argument error, refused before anything is computed (including a non-finite
+--t-max, --method asymptotic or continuous with --boundary ties, whose laws
+hold for the strict rule only, and an --output path that cannot be opened).
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
+from importlib import import_module
 from itertools import chain, islice, repeat
 from operator import floordiv, mul, truediv
 
@@ -154,33 +156,28 @@ def _exact(nums: list[int], den: int) -> tuple[list[int], list[int], list[float]
 
 _W_FIELDS = ("n", "m", "w_num", "w_den", "w_float")
 
-_METHODS = ("recurrence", "closed", "asymptotic", "continuous")
+# each winchance method: the module and name of its solver, and whether its
+# value is exact; only an exact solver has a law for --boundary ties
+_METHODS = {
+    "recurrence": ("winchance", "win_chance_recurrence", True),
+    "closed": ("winchance", "win_chance_closed", True),
+    "asymptotic": ("winchance", "win_chance_asymptotic", False),
+    "continuous": ("evolution", "win_chance_continuous", False),
+}
 
 
 def cmd_winchance(args: argparse.Namespace):
-    from fractions import Fraction
-
-    from . import winchance
     from .core import BoundaryRule
 
     n, m = _state(args)
-    boundary = BoundaryRule(args.boundary)
-    if args.method in ("asymptotic", "continuous") and args.boundary == "ties":
-        # both laws are stated for the strict rule only
+    module, solver, exact = _METHODS[args.method]
+    if not exact and args.boundary == "ties":
         raise _ArgumentError(f"--method {args.method} has no law for --boundary ties")
-    if args.method == "recurrence":
-        value = winchance.win_chance_recurrence(n, m, boundary)
-    elif args.method == "closed":
-        value = winchance.win_chance_closed(n, m, boundary)
-    elif args.method == "asymptotic":
-        value = winchance.win_chance_asymptotic(n, m)
-    else:
-        from . import evolution
-
-        value = evolution.win_chance_continuous(n, m)
-    if type(value) is Fraction:
+    solve = getattr(import_module(f".{module}", __package__), solver)
+    if exact:
+        value = solve(n, m, BoundaryRule(args.boundary))
         return _W_FIELDS, (n, m, value.numerator, value.denominator, float(value))
-    return _W_FIELDS, (n, m, None, None, float(value))
+    return _W_FIELDS, (n, m, None, None, float(solve(n, m)))
 
 
 def _table_groups(max_n: int, rule: str):
@@ -293,6 +290,11 @@ def cmd_simulate(args: argparse.Namespace):
     return report._fields, tuple(report)
 
 
+def _add_state_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("-n", "--players", type=int, required=True)
+    sub.add_argument("-m", "--mafia", type=int, required=True)
+
+
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--output", metavar="PATH", default=None, help="write to a file instead of stdout")
@@ -311,8 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("winchance", help="mafia winning-chance for one starting state")
-    p.add_argument("-n", "--players", type=int, required=True)
-    p.add_argument("-m", "--mafia", type=int, required=True)
+    _add_state_flags(p)
     p.add_argument("--method", choices=_METHODS, default="recurrence")
     _add_boundary_flag(p)
     _add_output_flags(p)
@@ -334,8 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "evolve", help="mafia-count distribution over turns, exact and/or continuous"
     )
-    p.add_argument("-n", "--players", type=int, required=True)
-    p.add_argument("-m", "--mafia", type=int, required=True)
+    _add_state_flags(p)
     p.add_argument("--mode", choices=("discrete", "continuous", "both"), default="both")
     p.add_argument(
         "--t-max",
@@ -360,8 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_optimal)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of w(n, m)")
-    p.add_argument("-n", "--players", type=int, required=True)
-    p.add_argument("-m", "--mafia", type=int, required=True)
+    _add_state_flags(p)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     _add_boundary_flag(p)
@@ -430,19 +429,16 @@ def _run(argv) -> int:
         pieces = list(_emit(args.format, *args.handler(args)))
     except (ValueError, OverflowError) as exc:
         return _fail(str(exc), 2 if isinstance(exc, _ArgumentError) else 1)
-    if path is None:
-        try:
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()
-        except OSError as exc:
+    where = "stdout" if path is None else f"--output {path}"
+    try:
+        out = nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="")
+        with out as fh:
+            fh.writelines(pieces)
+            fh.flush()
+    except OSError as exc:
+        if path is None:
             _silence_stdout()
             if isinstance(exc, BrokenPipeError):  # the reader has gone
                 return 1
-            return _fail(f"cannot write stdout: {exc.strerror}", 1)
-        return 0
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(pieces)
-    except OSError as exc:
-        return _fail(f"cannot write --output {path}: {exc.strerror}", 2)
+        return _fail(f"cannot write {where}: {exc.strerror}", 1)
     return 0

@@ -26,7 +26,6 @@ from .core import (
     GameState,
     check_approx_state,
     check_state,
-    double_factorial,
     falling_product,
     log_double_factorial,
 )
@@ -264,9 +263,7 @@ def parity_ratio(k: int) -> Fraction:
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
-    even = double_factorial(2 * k)
-    odd = double_factorial(2 * k - 1)
-    return Fraction(even * even, odd * odd * (2 * k + 1))
+    return win_chance_single(2 * k + 1) / win_chance_single(2 * k)
 
 
 def _closest_to_half(den: int, row: list[int]) -> int:

@@ -449,6 +449,16 @@ class TestOutputFile:
         assert calls == []
         assert "cannot write --output" in capsys.readouterr().err
 
+    # the probe opens /dev/full, so the failure comes with the write, after computing
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_device_exits_1_with_one_line(self):
+        proc = run_cli("table", "--max-n", "3", "--output", "/dev/full")
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            b"mafia-odds: cannot write --output /dev/full: No space left on device\n"
+        )
+
     # past the validity window (exit 1), and a malformed state (exit 2)
     FAILING = [
         (["evolve", "-n", "9", "-m", "2", "--mode", "discrete", "--t-max", "6"], 1),
@@ -995,6 +1005,11 @@ _UNUSED_BY_HELP = _SOLVERS | _UNUSED_BY_SOLVERS | {"fractions", "decimal", "json
             {"mafia_odds.winchance", "fractions"},
             {"json", "mafia_odds.montecarlo", "mafia_odds.evolution"} | _UNUSED_BY_SOLVERS,
         ),
+        (
+            "winchance -n 9 -m 2 --method continuous",
+            {"mafia_odds.evolution"},
+            {"json", "mafia_odds.montecarlo", "mafia_odds.winchance"} | _UNUSED_BY_SOLVERS,
+        ),
     ],
     ids=[
         "import-package",
@@ -1006,6 +1021,7 @@ _UNUSED_BY_HELP = _SOLVERS | _UNUSED_BY_SOLVERS | {"fractions", "decimal", "json
         "simulate",
         "table-csv",
         "winchance-recurrence",
+        "winchance-continuous",
     ],
 )
 def test_an_entry_point_loads_only_what_it_runs(entry, loaded, skipped):

@@ -344,6 +344,12 @@ class TestParityRatio:
                 2 * k
             )
 
+    def test_equals_the_wallis_partial_product(self):
+        # the double-factorial form, a route independent of win_chance_single
+        for k in range(1, 100):
+            even, odd = double_factorial(2 * k), double_factorial(2 * k - 1)
+            assert parity_ratio(k) == Fraction(even * even, odd * odd * (2 * k + 1))
+
     @given(st.integers(min_value=1, max_value=200))
     def test_increasing_and_below_limit(self, k):
         assert parity_ratio(k + 1) > parity_ratio(k)
