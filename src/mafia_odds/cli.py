@@ -142,9 +142,9 @@ def _state(args: argparse.Namespace) -> tuple[int, int]:
     return args.players, args.mafia
 
 
-def _need_max_n(args: argparse.Namespace, low: int) -> None:
-    if args.max_n < low:
-        raise _ArgumentError(f"need --max-n >= {low}, got {args.max_n}")
+def _need(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise _ArgumentError(f"need {flag} >= {low}, got {value}")
 
 
 def _exact(nums: list[int], den: int) -> tuple[list[int], list[int], list[float]]:
@@ -194,14 +194,14 @@ def _table_groups(max_n: int, rule: str):
 
 
 def cmd_table(args: argparse.Namespace):
-    _need_max_n(args, 1)
+    _need("--max-n", args.max_n, 1)
     return _W_FIELDS, _table_groups(args.max_n, args.boundary)
 
 
 def cmd_single_mafia(args: argparse.Namespace):
     from . import winchance
 
-    _need_max_n(args, 1)
+    _need("--max-n", args.max_n, 1)
     fields = ("n", "w_exact_num", "w_exact_den", "w_exact_float", "approx_parity_aware")
     rows = (
         (n, num, den, num / den, winchance.win_chance_asymptotic(n, 1))
@@ -210,11 +210,13 @@ def cmd_single_mafia(args: argparse.Namespace):
     return fields, _groups(rows)
 
 
-def _evolve_discrete_groups(N: int, M: int, t_max: int, kinds: tuple, ms: tuple):
+def _evolve_discrete_groups(N: int, M: int, t_max: int, kinds: tuple, ms: tuple, exact: bool):
     from . import evolution
 
     for t, den, q in evolution.discrete_path(N, M, t_max):
-        num, d, value = _exact([*q, sum(map(mul, range(M + 1), q))], den)
+        cells = [*q, sum(map(mul, range(M + 1), q))]
+        # CSV prints the floats alone; only JSON reduces each cell to lowest terms
+        num, d, value = _exact(cells, den) if exact else (None, None, [c / den for c in cells])
         yield "discrete", kinds, t, ms, value, num, d
 
 
@@ -234,11 +236,9 @@ def cmd_evolve(args: argparse.Namespace):
     from .core import check_window
 
     N, M = _state(args)
-    if N < 1:
-        raise _ArgumentError(f"need --players >= 1, got {N}")
+    _need("--players", N, 1)
     spu = args.samples_per_unit
-    if spu < 1:
-        raise _ArgumentError(f"need --samples-per-unit >= 1, got {spu}")
+    _need("--samples-per-unit", spu, 1)
     if args.t_max is not None and not math.isfinite(args.t_max):
         raise _ArgumentError(f"need a finite --t-max, got {args.t_max}")
     # one group per turn or sample: its p records for m = 0..M, then its mean
@@ -248,7 +248,7 @@ def cmd_evolve(args: argparse.Namespace):
         t_max = (N - M) // 2 if args.t_max is None else math.floor(args.t_max)
         if t_max > (N - M) // 2:
             check_window(N, M, (N - M) // 2 + 1)
-        groups.append(_evolve_discrete_groups(N, M, t_max, kinds, ms))
+        groups.append(_evolve_discrete_groups(N, M, t_max, kinds, ms, args.format == "json"))
     if args.mode in ("continuous", "both"):
         t_max = N / 2 if args.t_max is None else args.t_max
         # bound t_max to [-1, N] so the count cannot overflow; a negative t_max gives no sample
@@ -266,7 +266,7 @@ def cmd_evolve(args: argparse.Namespace):
 def cmd_optimal(args: argparse.Namespace):
     from . import winchance
 
-    _need_max_n(args, 2)
+    _need("--max-n", args.max_n, 2)
     rows = (
         (n, m, winchance.optimal_mafia_approx(n))
         for n, m in winchance.optimal_mafia_rows(args.max_n)
@@ -280,8 +280,7 @@ def cmd_simulate(args: argparse.Namespace):
     from .core import BoundaryRule
 
     n, m = _state(args)
-    if args.trials < 1:
-        raise _ArgumentError(f"need --trials >= 1, got {args.trials}")
+    _need("--trials", args.trials, 1)
     if not 0 <= args.seed < 1 << 64:
         raise _ArgumentError(f"--seed must be a 64-bit value, got {args.seed}")
     report = montecarlo.estimate_win_chance(

@@ -2,8 +2,9 @@
 
 The game model removes two players per full turn (one lynched by day, one
 killed by night), so double factorials and products over every-other-integer
-show up everywhere.  All exact values are ``fractions.Fraction``; floats only
-appear in operations whose contract says float.
+show up everywhere.  Counts are integers (a non-integer raises TypeError), and
+the exact kernels work in integers over a scale, building one ``Fraction`` at
+the API edge; floats only appear in operations whose contract says float.
 """
 
 from __future__ import annotations
@@ -26,30 +27,34 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
+def check_count(name: str, value: int, low: int) -> None:
+    """Refuse a count ``name`` below ``low``; a non-integer raises TypeError, as in ``range``."""
+    if operator.index(value) < low:
+        raise ValueError(f"need {name} >= {low}, got {name}={value}")
+
+
 def check_state(n: int, m: int) -> None:
     """Refuse a population outside 0 <= m <= n: n players, m of them mafia."""
-    if not 0 <= m <= n:
+    if operator.index(n) < operator.index(m) or m < 0:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
 
 
 def check_initial(N: int, M: int) -> None:
     """Refuse a starting population that is empty or outside 0 <= M <= N."""
-    if N < 1:
-        raise ValueError(f"need N >= 1, got N={N}")
+    check_count("N", N, 1)
     check_state(N, M)
 
 
 def check_approx_state(n: int, m: int) -> None:
     """Refuse n < 1 or a non-finite or negative m; these float laws allow m > n."""
-    if operator.index(n) < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
+    check_count("n", n, 1)
     if not 0 <= m < math.inf:
         raise ValueError(f"need m >= 0, got m={m}")
 
 
 def check_window(N: int, M: int, t: int) -> None:
     """Refuse a turn t outside the validity window 0 <= 2t <= N - M."""
-    if not 0 <= 2 * t <= N - M:
+    if operator.index(N) - operator.index(M) < 2 * operator.index(t) or t < 0:
         raise ValueError(f"need 0 <= 2t <= N - M, got N={N}, M={M}, t={t}")
 
 

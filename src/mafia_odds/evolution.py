@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 from .core import (
     check_approx_state,
+    check_count,
     check_initial,
     check_state,
     check_window,
@@ -121,8 +122,7 @@ def pm_closed(N: int, M: int, m: int, t: int) -> Fraction:
     N = 0 is allowed, so that w(0, 0) = 0 too.
     """
     check_state(N, M)
-    if m < 0:
-        raise ValueError(f"need m >= 0, got m={m}")
+    check_count("m", m, 0)
     if t < 0 or 2 * t > N:
         raise ValueError(f"need 0 <= 2t <= N, got N={N}, t={t}")
     total = Fraction(0)
@@ -157,8 +157,7 @@ def pm_continuous(N: int, M: int, m: int, t: float) -> float:
     amplitude s.  Defined for real t in [0, N/2]; m > M simply gives 0.
     """
     check_initial(N, M)
-    if m < 0:
-        raise ValueError(f"need m >= 0, got m={m}")
+    check_count("m", m, 0)
     row = _pm_row(N, M, t, [(m, math.comb(M, m))] if m <= M else ())
     return row[0] if row else 0.0
 

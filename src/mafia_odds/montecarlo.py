@@ -232,10 +232,10 @@ def _worker_count(threads: int | None, chunks: int) -> int:
     """The fewest of: CPUs, ``threads``, MAFIA_ODDS_THREADS and ``chunks``.
 
     ``threads`` None or 0, and MAFIA_ODDS_THREADS empty, unset or 0, mean
-    one worker per CPU the process may run on; anything but a non-negative
-    integer, there or in ``threads``, raises ValueError.
+    one worker per CPU the process may run on.  A non-integer ``threads``
+    raises TypeError; a negative one, or a cap of anything but digits, ValueError.
     """
-    if threads is not None and threads < 0:
+    if threads is not None and operator.index(threads) < 0:
         raise ValueError(f"threads must be a non-negative integer, got {threads!r}")
     cap = os.environ.get("MAFIA_ODDS_THREADS", "")
     if cap and not cap.isdecimal():

@@ -25,6 +25,7 @@ from .core import (
     BoundaryRule,
     GameState,
     check_approx_state,
+    check_count,
     check_state,
     falling_product,
     log_double_factorial,
@@ -109,8 +110,7 @@ def win_chance_rows(
     ``_ladder`` proves makes every row integral.  Both parity ladders advance
     together, so the whole sweep fills each of its O(max_n^2) cells once.
     """
-    if max_n < 0:
-        raise ValueError(f"need max_n >= 0, got max_n={max_n}")
+    check_count("max_n", max_n, 0)
     yield from _both_ladders(max_n, boundary)
 
 
@@ -138,8 +138,7 @@ def win_chance_single(n: int) -> Fraction:
     n w(n, 1) w(n-1, 1) = 1 valid all the way down to n = 1.  The ratio is
     the i = 1 term ``falling_product(n, n//2, 1)`` of the closed sum.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
+    check_count("n", n, 0)
     return falling_product(n, n // 2, 1)
 
 
@@ -261,8 +260,7 @@ def parity_ratio(k: int) -> Fraction:
     in k with limit pi/2, which is why one extra (odd) player helps the lone
     mafioso by almost a constant factor.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got k={k}")
+    check_count("k", k, 1)
     return win_chance_single(2 * k + 1) / win_chance_single(2 * k)
 
 
@@ -285,8 +283,7 @@ def optimal_mafia_rows(
     m = ceil(1/F_1) <= isqrt(2n) + 1, as F_1 >= 1/sqrt(2n) (Wallis).  Past
     the 1/2 crossing w only grows, so no later m is fairer.
     """
-    if max_n < 0:
-        raise ValueError(f"need max_n >= 0, got max_n={max_n}")
+    check_count("max_n", max_n, 0)
     for n, den, row in _both_ladders(max_n, boundary, math.isqrt(2 * max_n) + 1):
         if n >= 1:
             yield n, _closest_to_half(den, row)
@@ -296,8 +293,7 @@ def optimal_mafia_numeric(
     n: int, boundary: BoundaryRule = BoundaryRule.STRICT_MAJORITY
 ) -> int:
     """The m in 0..n whose exact w(n, m) is closest to 1/2; ties go to smaller m."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
+    check_count("n", n, 1)
     # n's parity ladder only, at the cap that ``optimal_mafia_rows`` proves
     for _, den, row in _ladder(n, boundary, math.isqrt(2 * n) + 1):
         pass
@@ -359,8 +355,7 @@ def verify_monotonicity(
 
     Returns a report whose violation list is expected to be empty.
     """
-    if n_max < 3:
-        raise ValueError(f"need n_max >= 3, got n_max={n_max}")
+    check_count("n_max", n_max, 3)
     rows = [
         [Fraction(value, den) for value in row]
         for _, den, row in win_chance_rows(n_max + 2, boundary)

@@ -283,6 +283,24 @@ class TestEvolveCommand:
             (mean,) = [r["value"] for r in rows if r["t"] == t and r["kind"] == "mean"]
             assert mean == mean_continuous(N, M, t)
 
+    def test_csv_discrete_rows_reduce_no_cell(self, monkeypatch, capsys):
+        # CSV prints the float column alone, so no cell is put in lowest terms
+        argv = ["evolve", "-n", "40", "-m", "6", "--mode", "discrete"]
+        assert cli.main([*argv, "--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+
+        def never(*args):
+            raise AssertionError("a CSV cell was reduced")
+
+        monkeypatch.setattr(cli, "_exact", never)
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "mode,kind,t,m,value"
+        assert lines[1:] == [
+            f"discrete,{r['kind']},{r['t']},{'' if r['m'] is None else r['m']},{r['value']:.12g}"
+            for r in records
+        ]
+
     def test_zero_samples_per_unit_exits_2(self):
         proc = run_cli("evolve", "-n", "8", "-m", "2", "--samples-per-unit", "0")
         assert proc.returncode == 2
