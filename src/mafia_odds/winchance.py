@@ -15,7 +15,6 @@ asymptotic forms trade exactness for O(1) evaluation.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from collections.abc import Iterator
 from fractions import Fraction
@@ -50,9 +49,9 @@ __all__ = [
 
 
 def _ladder(
-    top: int, boundary: BoundaryRule, cap: int | None = None
+    top: int, boundary: BoundaryRule, cap: int | None = None, step: int = 2
 ) -> Iterator[tuple[int, int, list[int]]]:
-    """Yield (n, L_n, row) for n = top % 2, top % 2 + 2, ..., top.
+    """Yield (n, L_n, row) for n = top % step, top % step + step, ..., top.
 
     row[m] = V(n, m) = L_n w(n, m), an integer, for a scale L_n of O(n) bits:
 
@@ -82,13 +81,15 @@ def _ladder(
                          F_(2a) = 0 for a >= 2.
 
     Every row is complete: m = 0..n, or m = 0..cap if a cap is given, with
-    L_n filled in from its first boundary column on.  Only the previous row
-    is kept.
+    L_n filled in from its first boundary column on.  Row n steps from row
+    n - 2, so the walk keeps the last row and L of each parity: step = 2
+    walks top's parity alone, step = 1 every n <= top.
     """
     ties = boundary is BoundaryRule.TIES
-    den, stay = 1, []
-    for n in range(top % 2, top + 1, 2):
+    back = [(1, []), (1, [])]
+    for n in range(top % step, top + 1, step):
         d = n // 2 - (ties and n % 2 == 0)
+        den, stay = back[n % 2]
         den = 2 * n * den // d if d > 0 else 1  # L_n = 2n L_(n-2) / d; 1 while d <= 0
         width = n + 1 if cap is None else cap + 1
         last = min(boundary.first_win(n), width)
@@ -96,7 +97,7 @@ def _ladder(
         row += [den] * (width - last)
         # the ladder's own copy, so the caller may keep or change the row;
         # the strict step to n = 2 reads V(0, 1) = L_0 past n = 0's row
-        stay = row + [den]
+        back[n % 2] = den, row + [den]
         yield n, den, row
 
 
@@ -107,16 +108,11 @@ def win_chance_rows(
 
     Every row is complete, 0 <= m <= n, and holds integers; w(n, m) is
     ``Fraction(row[m], L_n)``, where L_n is the O(n)-bit scale that
-    ``_ladder`` proves makes every row integral.  Both parity ladders advance
-    together, so the whole sweep fills each of its O(max_n^2) cells once.
+    ``_ladder`` proves makes every row integral.  One walk over every n fills
+    each of the sweep's O(max_n^2) cells once.
     """
     check_count("max_n", max_n, 0)
-    yield from _both_ladders(max_n, boundary)
-
-
-def _both_ladders(max_n: int, boundary: BoundaryRule, cap: int | None = None):
-    """The two parity ladders, merged into n = 0, 1, ..., max_n."""
-    return heapq.merge(_ladder(max_n, boundary, cap), _ladder(max_n - 1, boundary, cap))
+    yield from _ladder(max_n, boundary, step=1)
 
 
 def win_chance_recurrence(
@@ -276,7 +272,7 @@ def optimal_mafia_rows(
 ) -> Iterator[tuple[int, int]]:
     """Yield (n, m_opt) for n = 1..max_n: the m in 0..n with w(n, m) closest to 1/2.
 
-    Ties go to smaller m.  The ladders stop at column isqrt(2 max_n) + 1,
+    Ties go to smaller m.  The walk stops at column isqrt(2 max_n) + 1,
     which is safe: F_k = ``falling_product(n, boundary.lynch_days(n), k)``,
     the chance that k given mafiosi survive every lynch, has F_2 <= F_1^2,
     so by Bonferroni w(n, m) >= m F_1 - C(m, 2) F_1^2, which is >= 1/2 at
@@ -284,7 +280,7 @@ def optimal_mafia_rows(
     the 1/2 crossing w only grows, so no later m is fairer.
     """
     check_count("max_n", max_n, 0)
-    for n, den, row in _both_ladders(max_n, boundary, math.isqrt(2 * max_n) + 1):
+    for n, den, row in _ladder(max_n, boundary, math.isqrt(2 * max_n) + 1, step=1):
         if n >= 1:
             yield n, _closest_to_half(den, row)
 
@@ -335,10 +331,6 @@ class MonotonicityReport(NamedTuple):
         return not self.violations
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
 def verify_monotonicity(
     n_max: int, boundary: BoundaryRule = BoundaryRule.STRICT_MAJORITY
 ) -> MonotonicityReport:
@@ -353,34 +345,36 @@ def verify_monotonicity(
       e. the three pairwise differences among w(n-2, m), w(n, m) and
          w(n-2, m-1) share a sign (the convex-combination sandwich).
 
-    Returns a report whose violation list is expected to be empty.
+    Under the strict rule the violation list is expected to be empty, as it
+    is for every n_max <= 400.  Under ties it holds every even-n state of
+    family d, which holds reversed there (w(n+1, m) < w(n, m)), and family c
+    at m = n/2, where both sides are 1.  The comparisons read the integer
+    rows V = L w of ``win_chance_rows``: w(a, b) - w(c, d) has the sign of
+    V(a, b) L_c - V(c, d) L_a.
     """
     check_count("n_max", n_max, 3)
-    rows = [
-        [Fraction(value, den) for value in row]
-        for _, den, row in win_chance_rows(n_max + 2, boundary)
-    ]
+    _, dens, rows = zip(*win_chance_rows(n_max + 2, boundary))
 
-    def w(n: int, m: int) -> Fraction:
-        return rows[n][m]
+    def sign(a: int, b: int, c: int, d: int) -> int:
+        """The sign of w(a, b) - w(c, d): -1, 0 or 1."""
+        x = rows[a][b] * dens[c] - rows[c][d] * dens[a]
+        return (x > 0) - (x < 0)
 
     violations: list[tuple[str, GameState]] = []
     for n in range(2, n_max + 1):
         # the region n - m >= m >= 1 is exactly 1 <= m <= n // 2
         for m in range(1, n // 2 + 1):
             state = GameState(n, m)
-            if not w(n, m) > w(n, m - 1):
+            if sign(n, m, n, m - 1) != 1:
                 violations.append(("w(n,m) > w(n,m-1)", state))
-            if not w(n + 2, m) < w(n, m):
+            if sign(n + 2, m, n, m) != -1:
                 violations.append(("w(n+2,m) < w(n,m)", state))
-            if not w(n + 2, m + 1) > w(n, m):
+            if sign(n + 2, m + 1, n, m) != 1:
                 violations.append(("w(n+2,m+1) > w(n,m)", state))
-            if n % 2 == 0 and not w(n + 1, m) > w(n, m):
+            if n % 2 == 0 and sign(n + 1, m, n, m) != 1:
                 violations.append(("w(n+1,m) > w(n,m), n even", state))
-            if m <= n - 2:
-                d_stay = w(n - 2, m) - w(n, m)
-                d_drop = w(n, m) - w(n - 2, m - 1)
-                d_span = w(n - 2, m) - w(n - 2, m - 1)
-                if not _sign(d_stay) == _sign(d_drop) == _sign(d_span):
-                    violations.append(("sandwich differences share a sign", state))
+            if m <= n - 2 and not (
+                sign(n - 2, m, n, m) == sign(n, m, n - 2, m - 1) == sign(n - 2, m, n - 2, m - 1)
+            ):
+                violations.append(("sandwich differences share a sign", state))
     return MonotonicityReport(n_max, violations)

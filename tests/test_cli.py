@@ -1016,7 +1016,8 @@ _UNUSED_BY_HELP = _SOLVERS | _UNUSED_BY_SOLVERS | {"fractions", "decimal", "json
         (
             "table --max-n 5",
             {"mafia_odds.winchance"},
-            {"json", "mafia_odds.montecarlo", "mafia_odds.evolution"} | _UNUSED_BY_SOLVERS,
+            {"json", "heapq", "mafia_odds.montecarlo", "mafia_odds.evolution"}
+            | _UNUSED_BY_SOLVERS,
         ),
         (
             "winchance -n 9 -m 2",

@@ -443,9 +443,12 @@ class TestMonotonicity:
         ((1, 0), (1, 1), "sandwich differences share a sign", GameState(3, 1)),
     ]
 
+    # scaled: row n and its scale both times n + 1, so a comparison that
+    # crossed the wrong scales would misread w
+    @pytest.mark.parametrize("scaled", [False, True], ids=["scale-1", "scale-n+1"])
     @pytest.mark.parametrize("cell,source,label,state", BROKEN)
     def test_each_family_reports_its_violation(
-        self, monkeypatch, cell, source, label, state
+        self, monkeypatch, cell, source, label, state, scaled
     ):
         w = {
             (n, m): Fraction(value, den)
@@ -455,10 +458,24 @@ class TestMonotonicity:
         w[cell] = w[source]
 
         def rows(max_n, boundary):
-            return ((n, 1, [w[n, m] for m in range(n + 1)]) for n in range(max_n + 1))
+            for n in range(max_n + 1):
+                scale = n + 1 if scaled else 1
+                yield n, scale, [scale * w[n, m] for m in range(n + 1)]
 
         monkeypatch.setattr(winchance, "win_chance_rows", rows)
         assert verify_monotonicity(6).violations == [(label, state)]
+
+    def test_ties_report_family_d_at_even_n_and_c_at_half(self):
+        # under ties w(n+1, m) < w(n, m) at every even n, and at m = n/2 both
+        # w(n, m) and w(n+2, m+1) are already 1
+        expected = []
+        for n in range(2, 61, 2):
+            for m in range(1, n // 2 + 1):
+                if m == n // 2:
+                    expected.append(("w(n+2,m+1) > w(n,m)", GameState(n, m)))
+                expected.append(("w(n+1,m) > w(n,m), n even", GameState(n, m)))
+        assert len(expected) == 495
+        assert verify_monotonicity(60, TIES).violations == expected
 
     def test_the_ninth_player_helps_the_lone_mafioso(self):
         assert win_chance_recurrence(9, 1) > win_chance_recurrence(8, 1)
