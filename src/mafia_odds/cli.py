@@ -16,8 +16,10 @@ single record is a group of one), which one loop renders in one frame per
 format: the CSV header, a JSON array's brackets or a JSON record's braces.
 A value all of a group's records share is written once into its template,
 and each other column is one typed %-code (``%d``, ``%.12g``, ``%r``,
-``%s``) that converts every cell once.  A command holds about its output's
-size in memory and writes nothing before it has rendered the whole output.
+``%s``) that converts every cell once.  Output is opened once the first
+group has rendered and each piece is written as it comes: a refusal, or a
+failure in the first group, leaves stdout and --output as they were, and a
+later failure leaves the groups already written.
 
 Exit codes: 0 success, 1 computation-domain error (e.g. an evolution time
 outside the validity window, a malformed MAFIA_ODDS_THREADS, or an integer
@@ -294,11 +296,6 @@ def _add_state_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-m", "--mafia", type=int, required=True)
 
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--output", metavar="PATH", default=None, help="write to a file instead of stdout")
-
-
 def _add_boundary_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--boundary", choices=("strict", "ties"), default="strict")
 
@@ -315,20 +312,17 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_state_flags(p)
     p.add_argument("--method", choices=_METHODS, default="recurrence")
     _add_boundary_flag(p)
-    _add_output_flags(p)
     p.set_defaults(handler=cmd_winchance)
 
     p = sub.add_parser("table", help="w(n, m) for every state up to --max-n")
     p.add_argument("--max-n", type=int, default=10)
     _add_boundary_flag(p)
-    _add_output_flags(p)
     p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser(
         "single-mafia", help="exact and approximate w(n, 1) for n up to --max-n"
     )
     p.add_argument("--max-n", type=int, default=20)
-    _add_output_flags(p)
     p.set_defaults(handler=cmd_single_mafia)
 
     p = sub.add_parser(
@@ -348,14 +342,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=8,
         help="continuous-mode sampling density per unit of time",
     )
-    _add_output_flags(p)
     p.set_defaults(handler=cmd_evolve)
 
     p = sub.add_parser(
         "optimal", help="mafia size bringing w(n, m) closest to a coin flip"
     )
     p.add_argument("--max-n", type=int, default=100)
-    _add_output_flags(p)
     p.set_defaults(handler=cmd_optimal)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of w(n, m)")
@@ -363,9 +355,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     _add_boundary_flag(p)
-    _add_output_flags(p)
     p.set_defaults(handler=cmd_simulate)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--output", metavar="PATH", default=None, help="write to a file instead of stdout")
     return parser
 
 
@@ -423,17 +417,18 @@ def _run(argv) -> int:
             return _fail(f"cannot write --output {path}: {exc.strerror}", 2)
         if not existed:
             os.remove(os.path.realpath(path))
-    try:
-        # render everything before writing, so a failure writes nothing
-        pieces = list(_emit(args.format, *args.handler(args)))
-    except (ValueError, OverflowError) as exc:
-        return _fail(str(exc), 2 if isinstance(exc, _ArgumentError) else 1)
     where = "stdout" if path is None else f"--output {path}"
     try:
-        out = nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="")
-        with out as fh:
+        # the first piece comes after every refusal and the first group, so a
+        # failure up to there writes nothing; each later piece is written as it comes
+        pieces = _emit(args.format, *args.handler(args))
+        first = next(pieces)
+        with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(first)
             fh.writelines(pieces)
             fh.flush()
+    except (ValueError, OverflowError) as exc:
+        return _fail(str(exc), 2 if isinstance(exc, _ArgumentError) else 1)
     except OSError as exc:
         if path is None:
             _silence_stdout()

@@ -921,10 +921,16 @@ class TestLargeOutput:
     def test_a_refused_late_sample_writes_nothing(self, tmp_path, capsys):
         self._writes_nothing(self.LATE_FAILURE, self.MESSAGE, tmp_path, capsys)
 
-    def test_a_failure_after_the_first_batch_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        # the mean fails from t = 100 on, after the groups of the samples before it are rendered
+    def test_a_failure_after_the_first_group_leaves_the_groups_written(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the mean fails from t = 100 on, after the groups of the samples
+        # before it are rendered and written
         from mafia_odds import evolution
 
+        argv = ["evolve", "-n", "400", "-m", "30", "--mode", "continuous", "--format", "json"]
+        assert cli.main(argv) == 0
+        full = capsys.readouterr().out
         emit, mean, rendered, at_failure = cli._emit, evolution.mean_continuous, [], []
 
         def counted_emit(*args):
@@ -934,21 +940,33 @@ class TestLargeOutput:
 
         def failing_mean(N, M, t):
             if t >= 100:
-                at_failure.append(len(rendered))
+                at_failure.append("".join(rendered))
                 rendered.clear()
                 raise ValueError("a late failure")
             return mean(N, M, t)
 
         monkeypatch.setattr(cli, "_emit", counted_emit)
         monkeypatch.setattr(evolution, "mean_continuous", failing_mean)
-        argv = ["evolve", "-n", "400", "-m", "30", "--mode", "continuous", "--format", "json"]
-        self._writes_nothing(argv, "mafia-odds: a late failure\n", tmp_path, capsys)
+        message = "mafia-odds: a late failure\n"
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (at_failure[0], message)
+        new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
+        existing.write_bytes(b"earlier output\n")
+        for target in (new, existing):
+            assert cli.main([*argv, "--output", str(target)]) == 1
+            assert capsys.readouterr() == ("", message)
         assert len(at_failure) == 3
         assert all(at_failure)  # output had started to render each time
+        # each target holds exactly the pieces rendered before the failure: the
+        # full output's first 800 samples, up to t = 99.875
+        assert at_failure[0] == at_failure[1] == at_failure[2]
+        assert full.startswith(at_failure[0]) and at_failure[0].endswith("}")
+        assert at_failure[0].count('"mode"') == 800 * 32
+        assert new.read_bytes() == existing.read_bytes() == at_failure[0].encode()
 
     def test_memory_follows_the_output(self, tmp_path):
-        # each batch is rendered to text as it completes, so the traced peak
-        # stays near the size of the text rather than a multiple of it
+        # each group is written as it renders, so the traced peak stays
+        # below the size of the text
         target = tmp_path / "evolve.json"
         argv = ["evolve", "-n", "400", "-m", "30", "--mode", "continuous", "--format", "json"]
         tracemalloc.start()
@@ -960,6 +978,20 @@ class TestLargeOutput:
         written = target.stat().st_size
         assert written > 8_000_000
         assert peak < 2 * written
+
+    # each group is written as it renders, so the traced peak stays flat as
+    # --max-n grows: these runs write 6.6 MiB of CSV and 12.4 MiB of JSON
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_stays_flat_as_the_table_grows(self, tmp_path, fmt):
+        target = tmp_path / f"table.{fmt}"
+        tracemalloc.start()
+        try:
+            assert cli.main(["table", "--max-n", "400", "--format", fmt, "--output", str(target)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert target.stat().st_size > 6_000_000
+        assert peak < 1 << 20
 
 
 # a small run of every command: its JSON objects share one key order, and
@@ -1162,3 +1194,29 @@ def test_readme_command_line_matches_the_parser():
                 )
     assert set(re.findall(r"^\| `([\w-]+)` \|", section, re.M)) == set(commands)
     assert documented == parsed
+
+
+# SHA-256 of each --help at 80 columns; argparse 3.13 writes a short and a
+# long option with one metavar ("-n, --players PLAYERS"), so these bytes are
+# those of Python 3.10 to 3.12
+HELP_DIGESTS = {
+    "": "429752a7917f38d668e71a43fbf6a9e5678fa9ac3ae01d8f8170617ee9ef9997",
+    "winchance": "a724b1a0a35a298932261899c9166bd6bd669a5dfbfbd63d24fbbb9c1e0f4e45",
+    "table": "ee66c6270cce9f4a6e12e95cb7238465461701aa485470f4aae2e7b68e0a5772",
+    "single-mafia": "7d49132e444f7a6e332c91f23758ffda194ab121c19794467cc3a2f5966aa3d5",
+    "evolve": "ccbac9eea1ba2c665b370cabeb42a1a4f745aaeca3a43d8c93dba6b6e16b325c",
+    "optimal": "fdde71c14b01442cb9edf5a6ee4c4bcf48fc6dea8456baec1fdd98188b54c70a",
+    "simulate": "e301470fe8e47c78a2d38603e483ebfdd5013237b062e547295a3203a9328ed1",
+}
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse 3.13 formats options anew")
+@pytest.mark.parametrize("command", HELP_DIGESTS)
+def test_help_matches_the_recorded_bytes(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*command.split(), "--help"])
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
