@@ -22,12 +22,13 @@ failure in the first group, leaves stdout and --output as they were, and a
 later failure leaves the groups already written.
 
 Exit codes: 0 success, 1 computation-domain error (e.g. an evolution time
-outside the validity window, a malformed MAFIA_ODDS_THREADS, or an integer
-past float range where a float law needs it) or a failed write to stdout or
-to --output (silent when the reader of stdout has closed the pipe), 2
-argument error, refused before anything is computed (including a non-finite
---t-max, --method asymptotic or continuous with --boundary ties, whose laws
-hold for the strict rule only, and an --output path that cannot be opened).
+outside the validity window, a malformed MAFIA_ODDS_THREADS, an integer
+past float range where a float law needs it, or a failed allocation) or a
+failed write to stdout or to --output (silent when the reader of stdout has
+closed the pipe), 2 argument error, refused before anything is computed
+(including a non-finite --t-max, --method asymptotic or continuous with
+--boundary ties, whose laws hold for the strict rule only, and an --output
+path that cannot be opened).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class _ArgumentError(ValueError):
 # the CSV cell of a value in a column of mixed types; any other type is its str
 _CELL = {type(None): lambda _: "", float: "{:.12g}".format}
 
-_GROUP = 4096  # records per group where a handler transposes rows of scalars
+_GROUP = 256  # records per group where a handler transposes rows of scalars
 
 
 def _groups(rows):
@@ -429,6 +430,8 @@ def _run(argv) -> int:
             fh.flush()
     except (ValueError, OverflowError) as exc:
         return _fail(str(exc), 2 if isinstance(exc, _ArgumentError) else 1)
+    except MemoryError:  # numpy's failed allocations subclass it
+        return _fail("out of memory", 1)
     except OSError as exc:
         if path is None:
             _silence_stdout()

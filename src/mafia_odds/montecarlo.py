@@ -40,12 +40,13 @@ Memory and workers.  A chunk's trials run in level groups of about
 ``_LEVEL_VALUES`` one-byte levels.  PCG64 fills row-major, so each group
 draws its rows from the chunk's one generator in blocks of at most
 ``_BLOCK_VALUES`` uniforms (1 MiB of float64), and the blocks are, bit for
-bit, the rows of one whole-chunk draw.  Each block is scaled and cut while
-it is still in cache, and its levels are copied transposed into the group;
-the day loop runs once per group.  A chunk's memory (about 6 MiB at
-n = 1000) is therefore flat in n while one trial row fits in a block,
-n//2 + 1 <= ``_BLOCK_VALUES``; past that a block is one row, and a chunk
-grows by about 9 bytes per player (4.8 MiB for 2 trials at n = 2**19).
+bit, the rows of one whole-chunk draw.  Each block is scaled while it is
+still in cache and cut straight into its columns of the group, one pass
+that transposes it; the day loop runs once per group.  A chunk's memory
+(about 5 MiB at n = 1000) is therefore flat in n while one trial row fits
+in a block, n//2 + 1 <= ``_BLOCK_VALUES``; past that a block is one row,
+and a chunk grows by about 9 bytes per player (4.6 MiB for 2 trials at
+n = 2**19).
 A call whose work (trials x draws) is below ``_PARALLEL_MIN_VALUES``
 uniforms runs in-process, because starting a worker pool costs more than
 it saves there.  Above it the pool has the fewest workers of four
@@ -194,10 +195,11 @@ def _mafia_chunk(
     and lynches among the ``n - 2*day`` living players.  The trials run in
     level groups of ``width`` trials.  Each group draws its rows in blocks
     of at most ``_BLOCK_VALUES`` uniforms into one reused buffer; a block is
-    scaled in place by those counts (0 in the columns no day reads), cut to
-    lynch levels in the smallest unsigned dtype that holds m, and copied
-    transposed into the group, so that each day reads one contiguous row of
-    it.  The day loop then runs once per group.
+    scaled in place by those counts (0 in the columns no day reads), and
+    its day columns are cut, transposed, straight into the group's columns
+    as lynch levels in the smallest unsigned dtype that holds m, so that
+    each day reads one contiguous row of the group.  The day loop then runs
+    once per group.
     """
     np = _numpy()
 
@@ -209,7 +211,6 @@ def _mafia_chunk(
     step = max(1, _BLOCK_VALUES // draws)
     width = max(1, _LEVEL_VALUES // max(days, 1))
     uniforms = np.empty((min(rows, step), draws))
-    levels = np.empty(uniforms.shape, level_type)
     by_day = np.empty((days, min(rows, width)), level_type)
     counts = np.zeros(m + 1, dtype=np.int64)
     for start in range(0, rows, width):
@@ -218,9 +219,7 @@ def _mafia_chunk(
             block = uniforms[: min(step, group.shape[1] - at)]
             generator.random(out=block)
             np.multiply(block, alive, out=block)
-            cut = levels[: len(block)]
-            np.minimum(block, m, out=cut, casting="unsafe")
-            group[:, at : at + len(cut)] = cut[:, :days].T
+            np.minimum(block[:, :days].T, m, out=group[:, at : at + len(block)], casting="unsafe")
         mafia = np.full(group.shape[1], m, dtype=level_type)
         for level_row in group:
             mafia -= level_row < mafia

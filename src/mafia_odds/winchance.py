@@ -115,11 +115,23 @@ def win_chance_rows(
     yield from _ladder(max_n, boundary, step=1)
 
 
+def _decided(n: int, m: int, boundary: BoundaryRule) -> Fraction | None:
+    """w = 0 with no mafia, w = 1 once the rule gives the mafia the game, else None.
+
+    A state decided before the first lynch needs no walk, whatever n is.
+    """
+    if m == 0 or boundary.mafia_wins(n, m):
+        return Fraction(int(m > 0))
+    return None
+
+
 def win_chance_recurrence(
     n: int, m: int, boundary: BoundaryRule = BoundaryRule.STRICT_MAJORITY
 ) -> Fraction:
     """Exact w(n, m) from the integer recurrence ladder, columns 0..m only."""
     check_state(n, m)
+    if (decided := _decided(n, m, boundary)) is not None:
+        return decided
     for _, den, row in _ladder(n, boundary, cap=m):
         pass
     return Fraction(row[m], den)
@@ -164,6 +176,9 @@ def win_chance_closed(
     """
     from .evolution import pm_closed
 
+    check_state(n, m)
+    if (decided := _decided(n, m, boundary)) is not None:
+        return decided
     return 1 - pm_closed(n, m, 0, boundary.lynch_days(n))
 
 

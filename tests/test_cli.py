@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -428,6 +429,26 @@ def test_an_integer_past_float_range_exits_1_with_one_line(argv):
     assert proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("mafia-odds: "), lines
+
+
+# optimal --max-n 10**30 pads its ladder rows and simulate -n 10**11 asks numpy
+# for 373 GiB; whether a real allocation fails depends on the machine's
+# overcommit setting, so the solver raises instead
+@pytest.mark.parametrize(
+    "module,solver,argv",
+    [
+        ("winchance", "optimal_mafia_rows", ["optimal", "--max-n", str(10**30)]),
+        ("montecarlo", "estimate_win_chance", ["simulate", "-n", str(10**11), "-m", "1", "--trials", "1"]),
+    ],
+    ids=["optimal", "simulate"],
+)
+def test_a_failed_allocation_exits_1_with_one_line(monkeypatch, capsys, module, solver, argv):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(import_module(f"mafia_odds.{module}"), solver, exhausted)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "mafia-odds: out of memory\n")
 
 
 class TestOutputFile:

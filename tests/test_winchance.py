@@ -1,11 +1,13 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mafia_odds import winchance
+from mafia_odds import evolution, winchance
 from mafia_odds.core import BoundaryRule, GameState, double_factorial
 from mafia_odds.winchance import (
     optimal_mafia_approx,
@@ -207,6 +209,42 @@ class TestClosedForm:
         for n in range(1, 20):
             for m in range(n // 2 + 1, n + 1):
                 assert win_chance_closed(n, m) == 1, (n, m)
+
+
+class TestDecidedStates:
+    @pytest.mark.parametrize("boundary", [STRICT, TIES])
+    def test_both_methods_answer_every_decided_state_without_a_walk(self, monkeypatch, boundary):
+        # no mafia, or a mafia the rule has already given the game
+        def walk(*args, **kwargs):
+            raise AssertionError("a decided state started a walk")
+
+        monkeypatch.setattr(winchance, "_ladder", walk)
+        monkeypatch.setattr(evolution, "pm_closed", walk)
+        for n in range(41):
+            for m in range(n + 1):
+                if m == 0 or boundary.mafia_wins(n, m):
+                    expected = brute_force_win_chance(n, m, boundary)
+                    assert win_chance_recurrence(n, m, boundary) == expected, (n, m)
+                    assert win_chance_closed(n, m, boundary) == expected, (n, m)
+
+    @pytest.mark.parametrize("solver", [win_chance_recurrence, win_chance_closed])
+    @pytest.mark.parametrize(
+        "n,m,w", [(20000, 15000, 1), (10**20, 0, 0), (10**20, 10**20 - 1, 1)]
+    )
+    def test_large_decided_states_answer_at_once(self, solver, n, m, w):
+        # a walk took 384 s at (20000, 15000) and never ended at n = 10**20,
+        # so a child process bounds the wait
+        code = (
+            "import time\n"
+            "from mafia_odds import winchance\n"
+            "start = time.perf_counter()\n"
+            f"w = winchance.{solver.__name__}({n}, {m})\n"
+            "print(w, time.perf_counter() - start)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=20, check=True)
+        value, seconds = proc.stdout.split()
+        assert Fraction(value.decode()) == w
+        assert float(seconds) < 1.0
 
 
 class TestAsymptotics:
