@@ -22,8 +22,9 @@ failure in the first group, leaves stdout and --output as they were, and a
 later failure leaves the groups already written.
 
 Exit codes: 0 success, 1 computation-domain error (e.g. an evolution time
-outside the validity window, a malformed MAFIA_ODDS_THREADS, an integer
-past float range where a float law needs it, or a failed allocation) or a
+outside the validity window, refused as its path is made, a malformed
+MAFIA_ODDS_THREADS, an integer past float range where a float law needs it,
+an n whose products or rows pass sys.maxsize, or a failed allocation) or a
 failed write to stdout or to --output (silent when the reader of stdout has
 closed the pipe), 2 argument error, refused before anything is computed
 (including a non-finite --t-max, --method asymptotic or continuous with
@@ -213,30 +214,16 @@ def cmd_single_mafia(args: argparse.Namespace):
     return fields, _groups(rows)
 
 
-def _evolve_discrete_groups(N: int, M: int, t_max: int, kinds: tuple, ms: tuple, exact: bool):
-    from . import evolution
-
-    for t, den, q in evolution.discrete_path(N, M, t_max):
-        cells = [*q, sum(map(mul, range(M + 1), q))]
+def _evolve_discrete_groups(path, kinds: tuple, ms: tuple, exact: bool):
+    for t, den, q in path:
+        cells = [*q, sum(map(mul, range(len(q)), q))]
         # CSV prints the floats alone; only JSON reduces each cell to lowest terms
         num, d, value = _exact(cells, den) if exact else (None, None, [c / den for c in cells])
         yield "discrete", kinds, t, ms, value, num, d
 
 
-def _evolve_continuous_groups(N: int, M: int, last: int, spu: int, kinds: tuple, ms: tuple):
-    from . import evolution
-
-    binomials = [(m, math.comb(M, m)) for m in range(M + 1)]
-    for j in range(last + 1):
-        t = j / spu
-        values = evolution._pm_row(N, M, t, binomials)
-        values.append(evolution.mean_continuous(N, M, t))
-        yield "continuous", kinds, t, ms, values, None, None
-
-
 def cmd_evolve(args: argparse.Namespace):
     from . import evolution
-    from .core import check_window
 
     N, M = _state(args)
     _need("--players", N, 1)
@@ -247,20 +234,13 @@ def cmd_evolve(args: argparse.Namespace):
     # one group per turn or sample: its p records for m = 0..M, then its mean
     kinds, ms, groups = ("p",) * (M + 1) + ("mean",), (*range(M + 1), None), []
     if args.mode in ("discrete", "both"):
-        # default: sweep the whole validity window; a turn past it is refused up front
+        # default: the whole validity window; a path refuses a time past its own as it is made
         t_max = (N - M) // 2 if args.t_max is None else math.floor(args.t_max)
-        if t_max > (N - M) // 2:
-            check_window(N, M, (N - M) // 2 + 1)
-        groups.append(_evolve_discrete_groups(N, M, t_max, kinds, ms, args.format == "json"))
+        path = evolution.discrete_path(N, M, t_max)
+        groups.append(_evolve_discrete_groups(path, kinds, ms, args.format == "json"))
     if args.mode in ("continuous", "both"):
-        t_max = N / 2 if args.t_max is None else args.t_max
-        # bound t_max to [-1, N] so the count cannot overflow; a negative t_max gives no sample
-        last = math.floor(min(max(t_max, -1.0), N) * spu)
-        # the first sample past N/2, j = N spu // 2 + 1, is refused up front; where j / spu
-        # rounds to N/2 (N spu past 2**53) the loop refuses the first one that does not
-        if last > N * spu // 2:
-            evolution._survival(N, (N * spu // 2 + 1) / spu)
-        groups.append(_evolve_continuous_groups(N, M, last, spu, kinds, ms))
+        rows = evolution._continuous_rows(N, M, N / 2 if args.t_max is None else args.t_max, spu)
+        groups.append(("continuous", kinds, t, ms, values, None, None) for t, values in rows)
     # CSV keeps the first five fields; the exact pair is JSON-only
     fields = ("mode", "kind", "t", "m", "value", "value_num", "value_den")
     return fields, chain.from_iterable(groups), 5

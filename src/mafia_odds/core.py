@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -176,6 +177,8 @@ def falling_product(N: int, t: int, i: int) -> Fraction:
         raise ValueError(f"need N, t, i >= 0, got N={N}, t={t}, i={i}")
     if 2 * t > N:
         raise ValueError(f"need 2t <= N, got N={N}, t={t}")
+    if t > sys.maxsize:  # the products' ranges could not take their len()
+        raise ValueError(f"need t <= sys.maxsize, got N={N}, t={t}")
     if i == 1 or i >= 2 * t:
         return Fraction(
             _product(range(N - i, N - i - 2 * t, -2)), _product(range(N, N - 2 * t, -2))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 from .core import (
@@ -73,7 +74,7 @@ class ContinuousDistribution(NamedTuple):
 
 
 def discrete_path(N: int, M: int, t_max: int) -> Iterator[tuple[int, int, list[int]]]:
-    """Yield (t, D_t, q) for t = 0, 1, ..., t_max with q[m] = D_t p_m(t).
+    """An iterator of (t, D_t, q) for t = 0, 1, ..., t_max with q[m] = D_t p_m(t).
 
     D_t = N (N-2) ... (N-2t+2) is the product of the populations the lynches
     have drawn from, so the exact update becomes the integer step
@@ -81,20 +82,23 @@ def discrete_path(N: int, M: int, t_max: int) -> Iterator[tuple[int, int, list[i
         q[m] <- (alive - m) q[m] + (m+1) q[m+1],    alive = N - 2t,
 
     and p_m(t) = ``Fraction(q[m], D_t)``.  Each step is O(M), so the whole
-    path costs O(t_max M).  Iteration raises ValueError on reaching the first
-    t outside the validity window 2t <= N - M; a negative t_max yields
-    nothing.
+    path costs O(t_max M).  A t_max past the validity window 2t <= N - M is
+    refused at the call, before any turn, with a ValueError naming the first
+    turn outside it; a negative t_max yields nothing.
     """
     check_initial(N, M)
-    den, q = 1, [0] * M + [1]
-    for t in range(t_max + 1):
-        check_window(N, M, t)
-        if t:
-            alive = N - 2 * (t - 1)
-            den *= alive
-            prev = q + [0]  # p_{M+1} = 0
-            q = [(alive - m) * prev[m] + (m + 1) * prev[m + 1] for m in range(M + 1)]
-        yield t, den, q
+    if t_max > (N - M) // 2:
+        check_window(N, M, (N - M) // 2 + 1)
+    turns = accumulate(range(N, N - 2 * t_max, -2), _discrete_step, initial=(0, 1, [0] * M + [1]))
+    return islice(turns, max(t_max + 1, 0))
+
+
+def _discrete_step(turn: tuple[int, int, list[int]], alive: int) -> tuple[int, int, list[int]]:
+    """The turn after ``turn`` = (t, D_t, q), whose lynch draws from ``alive`` players."""
+    t, den, q = turn
+    prev = q + [0]  # p_{M+1} = 0
+    q = [(alive - m) * prev[m] + (m + 1) * prev[m + 1] for m in range(len(q))]
+    return t + 1, den * alive, q
 
 
 def evolve_discrete(N: int, M: int, t: int) -> Distribution:
@@ -186,6 +190,22 @@ def mean_continuous(N: int, M: int, t: float) -> float:
     """Mean of the continuous approximation: M sqrt(1 - 2t/N)."""
     check_initial(N, M)
     return M * _survival(N, t)
+
+
+def _continuous_rows(N: int, M: int, t_max: float, spu: int) -> Iterator[tuple[float, list]]:
+    """An iterator of (t, [p_0(t), ..., p_M(t), mean(t)]) at t = j/spu, j = 0, 1, ... <= t_max.
+
+    t_max is bounded to [-1, N], so the count cannot overflow; a negative one
+    gives no sample.  The first sample past N/2, j = N spu // 2 + 1, is refused
+    at the call; where j/spu rounds to N/2 (N spu past 2**53) iteration
+    refuses the first one that does not.
+    """
+    last = math.floor(min(max(t_max, -1.0), N) * spu)
+    if last > N * spu // 2:
+        _survival(N, (N * spu // 2 + 1) / spu)
+    binomials = [(m, math.comb(M, m)) for m in range(M + 1)]
+    times = (j / spu for j in range(last + 1))
+    return ((t, [*_pm_row(N, M, t, binomials), mean_continuous(N, M, t)]) for t in times)
 
 
 def integrate_continuous(

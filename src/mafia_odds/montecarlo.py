@@ -252,8 +252,9 @@ def _count_mafia(
     """Histogram of the mafia count after ``days`` turns over ``trials`` seeded games.
 
     With m = 0 or no days, every trial ends at m and nothing is drawn, once
-    the arguments have been checked.  Otherwise the chunks run in a worker
-    pool only if ``trials * draws`` uniforms pay for its start-up.
+    the arguments have been checked.  Otherwise a row wider than sys.maxsize
+    draws is refused, and the chunks run in a worker pool only if
+    ``trials * draws`` uniforms pay for its start-up.
     """
     # operator.index raises TypeError for a non-integer, drawn state or not
     if not 0 <= operator.index(seed) < _MAX_SEED:
@@ -263,6 +264,8 @@ def _count_mafia(
     workers = _worker_count(threads, (trials - 1) // CHUNK_TRIALS + 1)
     if m == 0 or days == 0:
         return [0] * m + [trials]
+    if draws > sys.maxsize:  # numpy cannot index a wider row
+        raise ValueError(f"need draws <= sys.maxsize, got n={n}, draws={draws}")
     chunks = [
         (seed, j, min(CHUNK_TRIALS, trials - start), n, m, days, draws)
         for j, start in enumerate(range(0, trials, CHUNK_TRIALS))
@@ -293,8 +296,9 @@ def estimate_win_chance(
     check_state(n, m)
     # a game the mafia has already won needs no lynch
     days = 0 if boundary.mafia_wins(n, m) else boundary.lynch_days(n)
-    # the row width n//2 + 1 is part of the seeding contract
-    counts = _count_mafia(n, m, days, n // 2 + 1, trials, seed, threads)
+    # the row width n//2 + 1 is part of the seeding contract; a decided game's
+    # histogram is a point mass at m, of which only whether m is 0 is read
+    counts = _count_mafia(n, m if days else min(m, 1), days, n // 2 + 1, trials, seed, threads)
     wins = trials - counts[0]
     estimate = wins / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)

@@ -263,7 +263,7 @@ class TestEvolveCommand:
         def never(*args):
             raise AssertionError("a row was computed")
 
-        monkeypatch.setattr(evolution, "discrete_path", never)
+        monkeypatch.setattr(evolution, "_discrete_step", never)
         monkeypatch.setattr(evolution, "_pm_row", never)
         assert cli.main(["evolve", *argv.split()]) == 1
         assert capsys.readouterr() == ("", f"mafia-odds: {message}\n")

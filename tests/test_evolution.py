@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from mafia_odds.evolution import (
+    _continuous_rows,
     discrete_path,
     evolve_discrete,
     integrate_continuous,
@@ -64,11 +64,9 @@ class TestEvolveDiscrete:
             assert probs == evolve_discrete(N, M, t).probs
             assert probs == tuple(pm_closed(N, M, m, t) for m in range(M + 1))
 
-    def test_path_stops_at_the_first_turn_outside_the_window(self):
-        path = discrete_path(9, 2, 6)
-        assert [t for t, _, _ in itertools.islice(path, 4)] == [0, 1, 2, 3]
+    def test_path_refuses_a_turn_outside_the_window_before_its_first_turn(self):
         with pytest.raises(ValueError, match="t=4"):
-            next(path)
+            discrete_path(9, 2, 6)
         assert list(discrete_path(9, 2, -1)) == []
 
     @given(st.data())
@@ -190,6 +188,37 @@ class TestMeanContinuous:
     def test_rejects_time_outside_range(self):
         with pytest.raises(ValueError):
             mean_continuous(32, 4, 16.5)
+
+
+class TestContinuousRows:
+    # the last case reaches the refused sample 2001/1000 only after rounding
+    # t_max = 1e306 down to N and scaling it back up by spu
+    @pytest.mark.parametrize(
+        "t_max, spu, first_invalid", [(100.0, 10, 2.1), (1e308, 10, 2.1), (1e306, 1000, 2.001)]
+    )
+    def test_the_first_sample_past_n_over_2_is_refused_at_the_call(
+        self, monkeypatch, t_max, spu, first_invalid
+    ):
+        from mafia_odds import evolution
+
+        def never(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(evolution, "_pm_row", never)
+        with pytest.raises(ValueError) as refusal:
+            _continuous_rows(4, 1, t_max, spu)
+        assert str(refusal.value) == f"need 0 <= t <= N/2, got N=4, t={first_invalid}"
+
+    @pytest.mark.parametrize("N, M, spu", [(40, 7, 3), (23, 23, 1), (9, 0, 8)])
+    def test_rows_are_the_library_values(self, N, M, spu):
+        rows = list(_continuous_rows(N, M, N / 2, spu))
+        assert [t for t, _ in rows] == [j / spu for j in range(N * spu // 2 + 1)]
+        for t, values in rows:
+            p = [pm_continuous(N, M, m, t) for m in range(M + 1)]
+            assert values == [*p, mean_continuous(N, M, t)]
+
+    def test_a_negative_t_max_gives_no_sample(self):
+        assert list(_continuous_rows(4, 1, -0.05, 10)) == []
 
 
 class TestIntegrateContinuous:
