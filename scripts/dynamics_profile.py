@@ -25,15 +25,18 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--step", type=float, default=1e-3)
     args = parser.parse_args()
+    if not args.step > 0:
+        parser.error(f"need --step > 0, got {args.step}")
 
     N, M = args.players, args.mafia
     print(f"state ({N}, {M}), {args.trials} trials, seed {args.seed}")
     print(f"{'t':>3} {'m':>3}  {'exact':>10}  {'continuous':>10}  {'rk4':>10}  {'empirical':>10}")
     # one walk of the exact evolution: p_m(t) = q[m] / D_t
-    for t, den, q in discrete_path(N, M, (N - M) // 2):
-        # the integrator needs clearance below the t = N/2 blow-up
-        in_domain = t <= N / 2 - 10.0 * args.step
-        rk4 = integrate_continuous(N, M, float(t), args.step) if in_domain else None
+    for t, den, q in discrete_path(N, M):
+        try:  # the integrator refuses a t without clearance below the t = N/2 blow-up
+            rk4 = integrate_continuous(N, M, float(t), args.step)
+        except ValueError:
+            rk4 = None
         empirical = estimate_distribution(N, M, t, args.trials, args.seed)
         for m in range(M + 1):
             rk4_cell = f"{rk4.probs[m]:>10.6f}" if rk4 else f"{'-':>10}"

@@ -114,8 +114,8 @@ def _encoder(fmt: str):
     A column of one type gets a typed code: ``%d`` for int, ``%.12g`` for a
     CSV float, ``%r`` (the JSON encoder's text) for a JSON float while all
     are finite, ``%s`` for a str, quoted by the encoder's own call in JSON.
-    Any other column gets ``%s`` and each value's text: its CSV cell, or one
-    call of the C encoder, which escapes "\\n" inside strings, so it splits them.
+    Any other column gets ``%s`` and each value's text: its CSV cell, or its
+    ``json.dumps``.
     """
     codes = {int: "%d", float: "%.12g" if fmt == "csv" else "%r", str: "%s"}
     if fmt == "csv":
@@ -124,7 +124,7 @@ def _encoder(fmt: str):
         import json
         from json.encoder import encode_basestring_ascii as quote
 
-        other = lambda values: json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+        other = lambda values: list(map(json.dumps, values))
 
     def column(values) -> tuple[str, list]:
         kinds = set(map(type, values))
@@ -234,12 +234,11 @@ def cmd_evolve(args: argparse.Namespace):
     # one group per turn or sample: its p records for m = 0..M, then its mean
     kinds, ms, groups = ("p",) * (M + 1) + ("mean",), (*range(M + 1), None), []
     if args.mode in ("discrete", "both"):
-        # default: the whole validity window; a path refuses a time past its own as it is made
-        t_max = (N - M) // 2 if args.t_max is None else math.floor(args.t_max)
-        path = evolution.discrete_path(N, M, t_max)
+        # each path defaults to its whole window and refuses a time past it as it is made
+        path = evolution.discrete_path(N, M, None if args.t_max is None else math.floor(args.t_max))
         groups.append(_evolve_discrete_groups(path, kinds, ms, args.format == "json"))
     if args.mode in ("continuous", "both"):
-        rows = evolution._continuous_rows(N, M, N / 2 if args.t_max is None else args.t_max, spu)
+        rows = evolution._continuous_rows(N, M, args.t_max, spu)
         groups.append(("continuous", kinds, t, ms, values, None, None) for t, values in rows)
     # CSV keeps the first five fields; the exact pair is JSON-only
     fields = ("mode", "kind", "t", "m", "value", "value_num", "value_den")

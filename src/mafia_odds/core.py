@@ -54,8 +54,9 @@ def check_approx_state(n: int, m: int) -> None:
 
 
 def check_window(N: int, M: int, t: int) -> None:
-    """Refuse a turn t outside the validity window 0 <= 2t <= N - M."""
-    if operator.index(N) - operator.index(M) < 2 * operator.index(t) or t < 0:
+    """Refuse a population as ``check_initial`` does, then a turn t outside 0 <= 2t <= N - M."""
+    check_initial(N, M)
+    if N - M < 2 * operator.index(t) or t < 0:
         raise ValueError(f"need 0 <= 2t <= N - M, got N={N}, M={M}, t={t}")
 
 
@@ -168,10 +169,9 @@ def falling_product(N: int, t: int, i: int) -> Fraction:
     denominator are integer products; one ``Fraction`` normalises them.
 
     For 1 < i < 2t the factors N - i ... N - 2t + 2 (N - 2t + 1 for odd i)
-    appear on both sides and are >= 1, so they cancel: an even i leaves
-    ``prod_{j < i/2} (N - 2t - 2j) / (N - 2j)``, and an odd i leaves
-    ``falling_product(N, t, 1)`` times
-    ``prod_{j < (i-1)/2} (N - 1 - 2t - 2j) / (N - 1 - 2j)``.
+    appear on both sides and are >= 1, so they cancel: with p = i % 2, i
+    leaves ``prod_{j < i//2} (N - p - 2t - 2j) / (N - p - 2j)``, times
+    ``falling_product(N, t, 1)`` for an odd i.
     """
     if N < 0 or t < 0 or i < 0:
         raise ValueError(f"need N, t, i >= 0, got N={N}, t={t}, i={i}")
@@ -183,10 +183,7 @@ def falling_product(N: int, t: int, i: int) -> Fraction:
         return Fraction(
             _product(range(N - i, N - i - 2 * t, -2)), _product(range(N, N - 2 * t, -2))
         )
-    if i % 2 == 0:
-        return Fraction(
-            _product(range(N - 2 * t, N - 2 * t - i, -2)), _product(range(N, N - i, -2))
-        )
-    return falling_product(N, t, 1) * Fraction(
-        _product(range(N - 1 - 2 * t, N - 2 * t - i, -2)), _product(range(N - 1, N - i, -2))
+    p = i % 2
+    return (falling_product(N, t, 1) if p else 1) * Fraction(
+        _product(range(N - p - 2 * t, N - 2 * t - i, -2)), _product(range(N - p, N - i, -2))
     )

@@ -73,7 +73,7 @@ class ContinuousDistribution(NamedTuple):
         return sum(m * p for m, p in enumerate(self.probs))
 
 
-def discrete_path(N: int, M: int, t_max: int) -> Iterator[tuple[int, int, list[int]]]:
+def discrete_path(N: int, M: int, t_max: int | None = None) -> Iterator[tuple[int, int, list[int]]]:
     """An iterator of (t, D_t, q) for t = 0, 1, ..., t_max with q[m] = D_t p_m(t).
 
     D_t = N (N-2) ... (N-2t+2) is the product of the populations the lynches
@@ -82,13 +82,14 @@ def discrete_path(N: int, M: int, t_max: int) -> Iterator[tuple[int, int, list[i
         q[m] <- (alive - m) q[m] + (m+1) q[m+1],    alive = N - 2t,
 
     and p_m(t) = ``Fraction(q[m], D_t)``.  Each step is O(M), so the whole
-    path costs O(t_max M).  A t_max past the validity window 2t <= N - M is
-    refused at the call, before any turn, with a ValueError naming the first
-    turn outside it; a negative t_max yields nothing.
+    path costs O(t_max M).  The default t_max = None is the whole validity
+    window 2t <= N - M, (N - M)//2 turns.  A t_max past it is refused at the
+    call, before any turn, with a ValueError naming the first turn outside
+    it; a negative t_max yields nothing.
     """
-    check_initial(N, M)
-    if t_max > (N - M) // 2:
-        check_window(N, M, (N - M) // 2 + 1)
+    t_max = (N - M) // 2 if t_max is None else t_max
+    # the population, and the first turn past the window where t_max reaches it
+    check_window(N, M, max(min(t_max, (N - M) // 2 + 1), 0))
     turns = accumulate(range(N, N - 2 * t_max, -2), _discrete_step, initial=(0, 1, [0] * M + [1]))
     return islice(turns, max(t_max + 1, 0))
 
@@ -108,7 +109,6 @@ def evolve_discrete(N: int, M: int, t: int) -> Distribution:
     within the validity window 2t <= N - M; outside it the update's
     coefficients stop describing a real game and the call is refused.
     """
-    check_initial(N, M)
     check_window(N, M, t)
     for _, den, q in discrete_path(N, M, t):
         pass
@@ -142,7 +142,6 @@ def mean_discrete(N: int, M: int, t: int) -> Fraction:
     The product is ``falling_product(N, t, 1)``, the same one that
     ``win_chance_single`` reads at t = N//2.
     """
-    check_initial(N, M)
     check_window(N, M, t)
     return M * falling_product(N, t, 1)
 
@@ -166,7 +165,7 @@ def pm_continuous(N: int, M: int, m: int, t: float) -> float:
     return row[0] if row else 0.0
 
 
-def _pm_row(N: int, M: int, t: float, binomials: Iterable[tuple[int, int]]) -> list[float]:
+def _pm_row(N: int, M: int, t: float, binomials: Iterable[tuple[int, float]]) -> list[float]:
     """``pm_continuous(N, M, m, t)`` for each pair (m, C(M, m)) with m <= M, one s for all."""
     s = _survival(N, t)
     r = 1.0 - s
@@ -192,18 +191,23 @@ def mean_continuous(N: int, M: int, t: float) -> float:
     return M * _survival(N, t)
 
 
-def _continuous_rows(N: int, M: int, t_max: float, spu: int) -> Iterator[tuple[float, list]]:
+def _continuous_rows(N: int, M: int, t_max: float | None, spu: int) -> Iterator[tuple[float, list]]:
     """An iterator of (t, [p_0(t), ..., p_M(t), mean(t)]) at t = j/spu, j = 0, 1, ... <= t_max.
 
-    t_max is bounded to [-1, N], so the count cannot overflow; a negative one
-    gives no sample.  The first sample past N/2, j = N spu // 2 + 1, is refused
-    at the call; where j/spu rounds to N/2 (N spu past 2**53) iteration
-    refuses the first one that does not.
+    The default t_max = None is N/2, as a float.  t_max is bounded to [-1, N],
+    so the count cannot overflow; a negative one gives no sample.  Every
+    refusal comes at the call, before any sample: a t_max that reaches the
+    first sample past N/2, j = N spu // 2 + 1, named as j/spu where that float
+    rounds into the window (N spu past 2**53), then an N or a C(M, m) past
+    float range, which the float law cannot take.
     """
-    last = math.floor(min(max(t_max, -1.0), N) * spu)
-    if last > N * spu // 2:
-        _survival(N, (N * spu // 2 + 1) / spu)
-    binomials = [(m, math.comb(M, m)) for m in range(M + 1)]
+    last = math.floor(min(max(N / 2 if t_max is None else t_max, -1.0), N) * spu)
+    past = N * spu // 2 + 1
+    if last >= past:
+        t = past / spu
+        raise ValueError(f"need 0 <= t <= N/2, got N={N}, t={t if 2 * t > N else f'{past}/{spu}'}")
+    float(N)  # refuses an N past float range, as each row would
+    binomials = [(m, float(math.comb(M, m))) for m in range(M + 1)]
     times = (j / spu for j in range(last + 1))
     return ((t, [*_pm_row(N, M, t, binomials), mean_continuous(N, M, t)]) for t in times)
 

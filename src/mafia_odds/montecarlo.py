@@ -68,7 +68,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import BoundaryRule, GameState, check_initial, check_state, check_window
+from .core import BoundaryRule, GameState, check_state, check_window
 
 if TYPE_CHECKING:
     import numpy as np
@@ -319,7 +319,6 @@ def estimate_distribution(
     citizens, so the t lynch draws are performed unconditionally; a trial
     whose mafia is already extinct just keeps m = 0.
     """
-    check_initial(N, M)
     check_window(N, M, t)
     counts = tuple(_count_mafia(N, M, t, max(t, 1), trials, seed, threads))
     probs = tuple(c / trials for c in counts)

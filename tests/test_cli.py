@@ -244,7 +244,8 @@ class TestEvolveCommand:
         )
 
     # each is refused before its first turn or sample is computed; both modes
-    # check the discrete window first
+    # check the discrete window first. In the last three, a sample's float
+    # rounds to N/2, then N and C(1100, 550) are past float range
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -255,6 +256,11 @@ class TestEvolveCommand:
             ("-n 40 -m 2 --mode both --t-max 30", "need 0 <= 2t <= N - M, got N=40, M=2, t=20"),
             ("-n 40 -m 0 --t-max 20.5 --samples-per-unit 3",
              "need 0 <= t <= N/2, got N=40, t=20.333333333333332"),
+            ("-n 9007199254740992 -m 1 --mode continuous --t-max 1e300 --samples-per-unit 2",
+             "need 0 <= t <= N/2, got N=9007199254740992, t=9007199254740993/2"),
+            pytest.param(f"-n {2**1024} -m 1 --mode both --t-max 1",
+                         "int too large to convert to float", id="N-past-float-range"),
+            ("-n 2000 -m 1100 --mode both --t-max 0", "int too large to convert to float"),
         ],
     )
     def test_a_late_failure_is_refused_before_any_row(self, monkeypatch, capsys, argv, message):

@@ -64,6 +64,10 @@ class TestEvolveDiscrete:
             assert probs == evolve_discrete(N, M, t).probs
             assert probs == tuple(pm_closed(N, M, m, t) for m in range(M + 1))
 
+    @pytest.mark.parametrize("N, M", [(23, 5), (9, 2), (8, 8), (1, 0)])
+    def test_path_defaults_to_the_whole_window(self, N, M):
+        assert list(discrete_path(N, M)) == list(discrete_path(N, M, (N - M) // 2))
+
     def test_path_refuses_a_turn_outside_the_window_before_its_first_turn(self):
         with pytest.raises(ValueError, match="t=4"):
             discrete_path(9, 2, 6)
@@ -208,6 +212,31 @@ class TestContinuousRows:
         with pytest.raises(ValueError) as refusal:
             _continuous_rows(4, 1, t_max, spu)
         assert str(refusal.value) == f"need 0 <= t <= N/2, got N=4, t={first_invalid}"
+
+    # j/spu = 9007199254740993/2 rounds to N/2 = 2**52, so its float would
+    # read as a time inside the window
+    def test_a_sample_that_rounds_to_n_over_2_is_named_exactly(self, monkeypatch):
+        from mafia_odds import evolution
+
+        def never(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(evolution, "_pm_row", never)
+        with pytest.raises(ValueError) as refusal:
+            _continuous_rows(9007199254740992, 1, 1e300, 2)
+        assert str(refusal.value) == (
+            "need 0 <= t <= N/2, got N=9007199254740992, t=9007199254740993/2"
+        )
+
+    # the rows are float laws in N and C(M, m); at N = 2**1024 N / 2 is still a float
+    @pytest.mark.parametrize("N, M", [(2**1024, 1), (2000, 1100)], ids=["N", "C(M, m)"])
+    def test_an_integer_past_float_range_is_refused_at_the_call(self, N, M):
+        with pytest.raises(OverflowError):
+            _continuous_rows(N, M, 0.0, 1)
+
+    @pytest.mark.parametrize("N, M, spu", [(40, 7, 3), (23, 23, 1), (9, 0, 8)])
+    def test_rows_default_to_n_over_2(self, N, M, spu):
+        assert list(_continuous_rows(N, M, None, spu)) == list(_continuous_rows(N, M, N / 2, spu))
 
     @pytest.mark.parametrize("N, M, spu", [(40, 7, 3), (23, 23, 1), (9, 0, 8)])
     def test_rows_are_the_library_values(self, N, M, spu):

@@ -16,10 +16,11 @@ from mafia_odds.evolution import (
     discrete_path,
     evolve_discrete,
     mean_continuous,
+    mean_discrete,
     pm_closed,
     pm_continuous,
 )
-from mafia_odds.montecarlo import estimate_win_chance
+from mafia_odds.montecarlo import estimate_distribution, estimate_win_chance
 from mafia_odds.winchance import (
     optimal_mafia_numeric,
     optimal_mafia_rows,
@@ -74,6 +75,32 @@ def test_a_count_below_its_floor_is_refused_with_its_message(capsys, call, messa
         with pytest.raises(ValueError) as refusal:
             call()
         assert str(refusal.value) == message
+
+
+# one check refuses the population first, then the turn outside 2t <= N - M
+@pytest.mark.parametrize(
+    "solve",
+    [
+        discrete_path,
+        evolve_discrete,
+        mean_discrete,
+        lambda N, M, t: estimate_distribution(N, M, t, 10, 0, threads=1),
+    ],
+    ids=["discrete_path", "evolve_discrete", "mean_discrete", "estimate_distribution"],
+)
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ((0, 0, 5), "need N >= 1, got N=0"),
+        ((4, 5, 9), "need 0 <= m <= n, got n=4, m=5"),
+        ((9, 2, 4), "need 0 <= 2t <= N - M, got N=9, M=2, t=4"),
+    ],
+    ids=["N", "M", "t"],
+)
+def test_a_state_is_refused_before_its_turn(solve, state, message):
+    with pytest.raises(ValueError) as refusal:
+        solve(*state)
+    assert str(refusal.value) == message
 
 
 @pytest.mark.parametrize(
