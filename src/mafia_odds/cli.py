@@ -5,7 +5,7 @@ Output contract (versioned; tests pin it):
 * CSV (default): header row, comma-separated numeric fields, LF endings,
   floats rendered with 12 significant digits so files are byte-stable
   across platforms.  Exact values carry numerator/denominator columns,
-  left empty for float-only methods.
+  left empty for float-only methods; ``evolve``'s CSV keeps five fields.
 * JSON: single top-level object (winchance, simulate) or array (the table
   emitters), stable key order, full round-trip floats, exact values as
   "_num"/"_den" integer fields with null where not applicable.  The bytes
@@ -263,7 +263,7 @@ def cmd_simulate(args: argparse.Namespace):
 
     n, m = _state(args)
     _need("--trials", args.trials, 1)
-    if not 0 <= args.seed < 1 << 64:
+    if not 0 <= args.seed < montecarlo._MAX_SEED:
         raise _ArgumentError(f"--seed must be a 64-bit value, got {args.seed}")
     report = montecarlo.estimate_win_chance(
         n, m, BoundaryRule(args.boundary), args.trials, args.seed

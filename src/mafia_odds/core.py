@@ -101,11 +101,11 @@ class BoundaryRule(enum.Enum):
     def first_win(self, n: int) -> int:
         """The smallest mafia count that wins at n players; every larger one wins too.
 
-        Strict: 2m > n.  Ties: 2m >= n with m >= 1.
+        Strict: 2m > n.  Ties: 2m >= n with m >= 1.  A non-integer n raises TypeError.
         """
         if self is _STRICT:
-            return n // 2 + 1
-        return max(1, (n + 1) // 2)
+            return operator.index(n) // 2 + 1
+        return max(1, (operator.index(n) + 1) // 2)
 
     def lynch_days(self, n: int) -> int:
         """Day lynches that decide a game from n players: ``first_win(n) - 1``.
@@ -133,22 +133,20 @@ def _product(factors: range) -> int:
 def double_factorial(k: int) -> int:
     """k!! = k (k-2) (k-4) ... down to 2 or 1; by convention 0!! = (-1)!! = 1.
 
-    Rejects ``k < -1``: more deeply negative double factorials are never
-    needed because ratios that would produce them are computed as
-    :func:`falling_product` instead.
+    Rejects a non-integer k and ``k < -1``: more deeply negative double
+    factorials are never needed because ratios that would produce them are
+    computed as :func:`falling_product` instead.
     """
-    if k < -1:
-        raise ValueError(f"double_factorial undefined for k={k}")
+    check_count("k", k, -1)
     return _product(range(k, 1, -2))
 
 
 def log_double_factorial(k: int) -> float:
-    """ln(k!!) for k >= -1, computed via lgamma so huge k stays cheap.
+    """ln(k!!) for an integer k >= -1, computed via lgamma so huge k stays cheap.
 
     Splitting on parity: (2j)!! = 2^j j!, and (2j+1)!! = (2j+1)!/(2^j j!).
     """
-    if k < -1:
-        raise ValueError(f"log_double_factorial undefined for k={k}")
+    check_count("k", k, -1)
     if k <= 0:
         return 0.0
     j = k // 2
@@ -157,7 +155,7 @@ def log_double_factorial(k: int) -> float:
     return math.lgamma(2 * j + 2) - j * _LN2 - math.lgamma(j + 1)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)  # a float key never meets an int's entry
 def falling_product(N: int, t: int, i: int) -> Fraction:
     """Exact value of ``prod_{j=0}^{t-1} (N - 2j - i) / (N - 2j)``.
 
@@ -167,15 +165,16 @@ def falling_product(N: int, t: int, i: int) -> Fraction:
     factors cross zero for odd ``i`` the product carries the sign, so no
     extension of !! to negative arguments is ever required.  Numerator and
     denominator are integer products; one ``Fraction`` normalises them.
+    Integer counts only, with t, i >= 0 and 2t <= N, on every call, cached or not.
 
     For 1 < i < 2t the factors N - i ... N - 2t + 2 (N - 2t + 1 for odd i)
     appear on both sides and are >= 1, so they cancel: with p = i % 2, i
     leaves ``prod_{j < i//2} (N - p - 2t - 2j) / (N - p - 2j)``, times
     ``falling_product(N, t, 1)`` for an odd i.
     """
-    if N < 0 or t < 0 or i < 0:
-        raise ValueError(f"need N, t, i >= 0, got N={N}, t={t}, i={i}")
-    if 2 * t > N:
+    check_count("t", t, 0)
+    check_count("i", i, 0)
+    if 2 * t > operator.index(N):
         raise ValueError(f"need 2t <= N, got N={N}, t={t}")
     if t > sys.maxsize:  # the products' ranges could not take their len()
         raise ValueError(f"need t <= sys.maxsize, got N={N}, t={t}")

@@ -17,6 +17,7 @@ Runge-Kutta integrator as an independent numerical check.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -176,11 +177,11 @@ def peak_time(N: int, M: int, m: int) -> float:
     """Time at which p_m(t) of the continuous approximation is maximal.
 
     t_m = (N/2)(1 - (m/M)^2), from setting the derivative of the binomial
-    closed form to zero.  The interior-maximum derivation needs 1 <= m <= M;
-    m = 0 grows right up to the boundary t = N/2 and is refused.
+    closed form to zero.  The interior-maximum derivation needs an integer
+    1 <= m <= M; m = 0 grows right up to the boundary t = N/2 and is refused.
     """
     check_initial(N, M)
-    if not 1 <= m <= M:
+    if not 1 <= operator.index(m) <= M:
         raise ValueError(f"need 1 <= m <= M, got M={M}, m={m}")
     return (N / 2) * (1.0 - (m / M) ** 2)
 

@@ -68,7 +68,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import BoundaryRule, GameState, check_state, check_window
+from .core import BoundaryRule, GameState, check_count, check_state, check_window
 
 if TYPE_CHECKING:
     import numpy as np
@@ -234,8 +234,8 @@ def _worker_count(threads: int | None, chunks: int) -> int:
     one worker per CPU the process may run on.  A non-integer ``threads``
     raises TypeError; a negative one, or a cap of anything but digits, ValueError.
     """
-    if threads is not None and operator.index(threads) < 0:
-        raise ValueError(f"threads must be a non-negative integer, got {threads!r}")
+    if threads is not None:
+        check_count("threads", threads, 0)
     cap = os.environ.get("MAFIA_ODDS_THREADS", "")
     if cap and not cap.isdecimal():
         raise ValueError(f"MAFIA_ODDS_THREADS must be a non-negative integer, got {cap!r}")
@@ -259,8 +259,7 @@ def _count_mafia(
     # operator.index raises TypeError for a non-integer, drawn state or not
     if not 0 <= operator.index(seed) < _MAX_SEED:
         raise ValueError(f"seed must be a 64-bit value, got {seed}")
-    if operator.index(trials) < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+    check_count("trials", trials, 1)
     workers = _worker_count(threads, (trials - 1) // CHUNK_TRIALS + 1)
     if m == 0 or days == 0:
         return [0] * m + [trials]

@@ -155,7 +155,7 @@ class TestEstimateWinChance:
             estimate_win_chance(9, 2, STRICT, 10, seed=9)
 
     def test_negative_threads_is_refused(self):
-        message = "threads must be a non-negative integer, got -3"
+        message = "need threads >= 0, got threads=-3"
         with pytest.raises(ValueError, match=re.escape(message)):
             estimate_win_chance(9, 2, STRICT, 10, seed=0, threads=-3)
 
@@ -270,9 +270,9 @@ class TestDecidedStates:
             estimate_win_chance(n, m, boundary, 10, seed=1 << 64)
         with pytest.raises(ValueError, match="need trials >= 1"):
             estimate_win_chance(n, m, boundary, 0, seed=0)
-        with pytest.raises(ValueError, match="threads must be a non-negative integer"):
+        with pytest.raises(ValueError, match="need threads >= 0"):
             estimate_win_chance(n, m, boundary, 10, seed=0, threads=-1)
-        with pytest.raises(ValueError, match="threads must be a non-negative integer"):
+        with pytest.raises(ValueError, match="need threads >= 0"):
             estimate_distribution(n, m, 0, 10, seed=0, threads=-1)
         monkeypatch.setenv("MAFIA_ODDS_THREADS", "two")
         with pytest.raises(ValueError, match="MAFIA_ODDS_THREADS must be"):

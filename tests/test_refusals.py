@@ -11,12 +11,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mafia_odds import cli
-from mafia_odds.core import BoundaryRule, GameState, falling_product
+from mafia_odds.core import (
+    BoundaryRule,
+    GameState,
+    double_factorial,
+    falling_product,
+    log_double_factorial,
+)
 from mafia_odds.evolution import (
     discrete_path,
     evolve_discrete,
     mean_continuous,
     mean_discrete,
+    peak_time,
     pm_closed,
     pm_continuous,
 )
@@ -51,6 +58,25 @@ BELOW_THE_FLOOR = [
     pytest.param(lambda: pm_closed(32, 4, -1, 3), "need m >= 0, got m=-1", id="pm_closed-m"),
     pytest.param(
         lambda: pm_continuous(32, 4, -1, 3.0), "need m >= 0, got m=-1", id="pm_continuous-m"
+    ),
+    pytest.param(lambda: double_factorial(-2), "need k >= -1, got k=-2", id="double_factorial-k"),
+    pytest.param(
+        lambda: log_double_factorial(-2), "need k >= -1, got k=-2", id="log_double_factorial-k"
+    ),
+    pytest.param(lambda: falling_product(4, -1, 0), "need t >= 0, got t=-1", id="falling-t"),
+    pytest.param(lambda: falling_product(4, 1, -1), "need i >= 0, got i=-1", id="falling-i"),
+    pytest.param(
+        lambda: falling_product(-1, 0, 0), "need 2t <= N, got N=-1, t=0", id="falling-N"
+    ),
+    pytest.param(
+        lambda: estimate_win_chance(9, 1, STRICT, 0, 0),
+        "need trials >= 1, got trials=0",
+        id="trials",
+    ),
+    pytest.param(
+        lambda: estimate_win_chance(9, 1, STRICT, 10, 0, threads=-3),
+        "need threads >= 0, got threads=-3",
+        id="threads",
     ),
     pytest.param(["table", "--max-n", "0"], "need --max-n >= 1, got 0", id="--max-n"),
     pytest.param(["optimal", "--max-n", "1"], "need --max-n >= 2, got 1", id="--max-n-2"),
@@ -115,6 +141,15 @@ def test_a_state_is_refused_before_its_turn(solve, state, message):
         pytest.param(lambda: mean_continuous(9, 2.0, 1.0), id="mean_continuous-M"),
         pytest.param(
             lambda: estimate_win_chance(9, 2, STRICT, 1000, 0, threads=1.5), id="threads"
+        ),
+        pytest.param(lambda: log_double_factorial(7.5), id="log_double_factorial"),
+        pytest.param(lambda: log_double_factorial(math.nan), id="log_double_factorial-nan"),
+        pytest.param(lambda: peak_time(32, 4, 1.5), id="peak_time-m"),
+        pytest.param(lambda: STRICT.first_win(9.5), id="first_win-strict"),
+        pytest.param(lambda: BoundaryRule.TIES.first_win(9.5), id="first_win-ties"),
+        # the cache is typed, so 4.0 meets the checks even once (4, 1, 1) is cached
+        pytest.param(
+            lambda: (falling_product(4, 1, 1), falling_product(4.0, 1, 1)), id="falling_product"
         ),
     ],
 )
