@@ -365,18 +365,23 @@ def verify_monotonicity(
     family d, which holds reversed there (w(n+1, m) < w(n, m)), and family c
     at m = n/2, where both sides are 1.  The comparisons read the integer
     rows V = L w of ``win_chance_rows``: w(a, b) - w(c, d) has the sign of
-    V(a, b) L_c - V(c, d) L_a.
+    V(a, b) L_c - V(c, d) L_a.  Those reads span rows n - 2 .. n + 2, so
+    the sweep keeps five rows, O(n_max^2) bits, and no more.
     """
     check_count("n_max", n_max, 3)
-    _, dens, rows = zip(*win_chance_rows(n_max + 2, boundary))
+    window: dict[int, tuple[int, list[int]]] = {}  # (L_a, row a) for a = n-2 .. n+2
 
     def sign(a: int, b: int, c: int, d: int) -> int:
         """The sign of w(a, b) - w(c, d): -1, 0 or 1."""
-        x = rows[a][b] * dens[c] - rows[c][d] * dens[a]
+        (den_a, row_a), (den_c, row_c) = window[a], window[c]
+        x = row_a[b] * den_c - row_c[d] * den_a
         return (x > 0) - (x < 0)
 
     violations: list[tuple[str, GameState]] = []
-    for n in range(2, n_max + 1):
+    for top, den, row in win_chance_rows(n_max + 2, boundary):
+        window[top] = den, row
+        window.pop(top - 5, None)
+        n = top - 2  # the states at n read rows n - 2 .. n + 2, all in the window
         # the region n - m >= m >= 1 is exactly 1 <= m <= n // 2
         for m in range(1, n // 2 + 1):
             state = GameState(n, m)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import errno
 import hashlib
 import io
@@ -18,14 +19,18 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mafia_odds import cli, winchance
+from mafia_odds.core import BoundaryRule
 from mafia_odds.evolution import evolve_discrete, mean_discrete
 
+from launcher import finish, launch
+from oracles import double_factorial_rows
 
-def run_cli(*argv, env=None):
+
+def run_cli(*argv, env=None, timeout=120):
     return subprocess.run(
         [sys.executable, "-m", "mafia_odds", *argv],
         capture_output=True,
-        timeout=120,
+        timeout=timeout,
         env=env,
     )
 
@@ -145,6 +150,23 @@ class TestTableCommand:
         proc = run_cli("table", "--max-n", "4")
         assert b"\r" not in proc.stdout
         assert proc.stdout.endswith(b"\n")
+
+    # every cell to n = 600, past the goldens' n <= 303 and the library's
+    # n <= 400, against the plain ladder scaled by n!!, whose steps never
+    # divide: the package scales row n by an O(n)-bit L_n and divides each
+    # step. The oracle reads the records as the command writes them.
+    @pytest.mark.parametrize("boundary", list(BoundaryRule))
+    def test_a_deep_table_matches_the_double_factorial_ladder(self, boundary):
+        argv = [sys.executable, "-m", "mafia_odds", "table", "--max-n", "600", "--boundary", boundary.value]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) as proc:
+            next(proc.stdout)  # the header
+            for n, dfact, row in double_factorial_rows(600, boundary):
+                for m in range(n + 1 if n else 0):
+                    record_n, record_m, num, den, _ = next(proc.stdout).split(",")
+                    assert (int(record_n), int(record_m)) == (n, m)
+                    assert int(num) * dfact == row[m] * int(den), (n, m)
+            assert next(proc.stdout, None) is None
+        assert proc.wait(timeout=120) == 0
 
 
 class TestSingleMafiaCommand:
@@ -327,6 +349,25 @@ class TestEvolveCommand:
                 mean_discrete(12, 3, t),
             ]
 
+    # 451 turns of 102 records at (1000, 100), past the goldens' N <= 203,
+    # where most cells reduce: CSV divides each cell by the turn's
+    # denominator without reducing it, JSON reduces it to lowest terms
+    def test_csv_and_json_print_the_same_values(self):
+        argv = [sys.executable, "-m", "mafia_odds", "evolve", "-n", "1000", "-m", "100", "--mode", "discrete"]
+        # both commands run at once, each into its own pipe
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) as csv_proc, subprocess.Popen(
+            [*argv, "--format", "json"], stdout=subprocess.PIPE
+        ) as json_proc:
+            rows = list(csv.DictReader(csv_proc.stdout))
+            records = json.load(json_proc.stdout)
+        assert csv_proc.returncode == json_proc.returncode == 0
+        assert len(rows) == len(records) == 451 * 102
+        keys = ("mode", "kind", "t", "m")
+        for row, record in zip(rows, records):
+            assert [row[k] for k in keys] == ["" if record[k] is None else str(record[k]) for k in keys]
+            assert row["value"] == "%.12g" % record["value"]
+            assert float(Fraction(record["value_num"], record["value_den"])) == record["value"]
+
     def test_continuous_rows_stay_normalized(self):
         proc = run_cli(
             "evolve", "-n", "32", "-m", "4", "--mode", "continuous",
@@ -416,6 +457,35 @@ class TestSimulateCommand:
         proc = run_cli("simulate", "-n", "2", "-m", "1", "--seed", "-5")
         assert proc.returncode == 2
 
+    # two full 65,536-trial chunks at n = 1000: enough work for a worker pool
+    # unless MAFIA_ODDS_THREADS caps the run to one process
+    def test_pooled_report_matches_the_serial_one(self):
+        argv = ("simulate", "-n", "1000", "-m", "15", "--trials", "131072", "--seed", "3")
+        serial = run_cli(*argv, env=dict(os.environ, MAFIA_ODDS_THREADS="1"))
+        pooled = run_cli(*argv, env={k: v for k, v in os.environ.items() if k != "MAFIA_ODDS_THREADS"})
+        assert serial.returncode == pooled.returncode == 0
+        assert pooled.stdout == serial.stdout
+
+
+# decided before the first lynch, so nothing is walked or drawn: the
+# recurrence took 384 s at (20000, 15000) and never ended at n = 10**20, and
+# each simulation would draw about 10**11 uniforms
+DECIDED = {
+    "simulate -n 1001 -m 501 --trials 200000000": {"mafia_wins": "200000000"},
+    "simulate -n 1000 -m 0 --trials 200000000 --boundary ties": {"mafia_wins": "0"},
+    "winchance -n 20000 -m 15000 --method recurrence": {"w_num": "1", "w_den": "1"},
+    "winchance -n 20000 -m 15000 --method closed": {"w_num": "1", "w_den": "1"},
+    f"winchance -n {10**20} -m 0": {"w_num": "0", "w_den": "1"},
+}
+
+
+@pytest.mark.parametrize("argv,expected", DECIDED.items(), ids=list(DECIDED))
+def test_a_decided_state_answers_at_once(argv, expected):
+    proc = run_cli(*argv.split(), timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    record = next(csv.DictReader(io.StringIO(proc.stdout.decode())))
+    assert {k: record[k] for k in expected} == expected
+
 
 # an integer past float range reaches a float law, which raises OverflowError
 @pytest.mark.parametrize(
@@ -459,11 +529,13 @@ def test_a_failed_allocation_exits_1_with_one_line(monkeypatch, capsys, module, 
 
 class TestOutputFile:
     def test_file_matches_stdout(self, tmp_path):
-        target = tmp_path / "table.csv"
-        streamed = run_cli("table", "--max-n", "6")
-        written = run_cli("table", "--max-n", "6", "--output", str(target))
-        assert written.returncode == 0 and written.stdout == b""
-        assert target.read_bytes() == streamed.stdout
+        # the second table: 7,380 rows in 240 groups, each rendered as its own piece of text
+        for argv in (["table", "--max-n", "6"], ["table", "--max-n", "120", "--format", "json"]):
+            target = tmp_path / "table.out"
+            streamed = run_cli(*argv)
+            written = run_cli(*argv, "--output", str(target))
+            assert written.returncode == 0 and written.stdout == b"", argv
+            assert target.read_bytes() == streamed.stdout, argv
 
     @pytest.mark.parametrize(
         "where,reason",
@@ -896,11 +968,14 @@ class TestEmitCsv:
 class TestDigitLimit:
     """Exact cells print in full under the smallest int-to-str digit limit."""
 
-    # (argv, the n and m of the last record); each exact pair runs to ~900 digits
+    # (argv, the n and m of the last record); each exact pair runs to ~900
+    # digits, and at w(16000, 2) to ~4,800, past the default limit of 4,300
     CASES = [
         (["winchance", "-n", "3000", "-m", "3"], (3000, 3)),
         (["winchance", "-n", "3000", "-m", "3", "--format", "json"], (3000, 3)),
         (["single-mafia", "--max-n", "3000"], (3000, 1)),
+        (["winchance", "-n", "16000", "-m", "2", "--method", "recurrence"], (16000, 2)),
+        (["winchance", "-n", "16000", "-m", "2", "--method", "closed", "--format", "json"], (16000, 2)),
     ]
 
     @pytest.mark.parametrize("argv,state", CASES, ids=[" ".join(a) for a, _ in CASES])
@@ -910,20 +985,21 @@ class TestDigitLimit:
         try:
             code = cli.main(argv)
             after = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)  # the checks below read every digit
+            out = capsys.readouterr().out
+            assert code == 0
+            assert after == 640  # the caller's limit, not the lifted one
+            if "json" in argv:
+                record = json.loads(out)
+            else:
+                header, *_, last = out.splitlines()
+                record = dict(zip(header.split(","), last.split(",")))
+            num, den = (int(v) for k, v in record.items() if k.endswith(("_num", "_den")))
+            exact = winchance.win_chance_recurrence(*state)
+            assert (num, den) == (exact.numerator, exact.denominator)
+            assert len(str(exact.denominator)) > 640
         finally:
             sys.set_int_max_str_digits(old)
-        out = capsys.readouterr().out
-        assert code == 0
-        assert after == 640  # the caller's limit, not the lifted one
-        if "json" in argv:
-            record = json.loads(out)
-        else:
-            header, *_, last = out.splitlines()
-            record = dict(zip(header.split(","), last.split(",")))
-        num, den = (int(v) for k, v in record.items() if k.endswith(("_num", "_den")))
-        exact = winchance.win_chance_recurrence(*state)
-        assert (num, den) == (exact.numerator, exact.denominator)
-        assert len(str(exact.denominator)) > 640
 
 
 class TestLargeOutput:
@@ -1005,6 +1081,21 @@ class TestLargeOutput:
         written = target.stat().st_size
         assert written > 8_000_000
         assert peak < 2 * written
+
+    def test_long_tables_stream_in_bounded_memory(self):
+        # each group is written as it renders. table --max-n 1200 writes
+        # 721,800 rows and 155 MiB of CSV, and holding the whole output first
+        # peaked at 192 MB; single-mafia --max-n 15000 writes 256 rows a group
+        # whose cells run to thousands of digits, and 4,096-row groups peaked
+        # at 104 MB. The two commands run at once.
+        bounds_mb = {"table --max-n 1200": 64, "single-mafia --max-n 15000": 48}
+        procs = {
+            argv: launch("-m", "mafia_odds", *argv.split(), stdout=subprocess.DEVNULL)
+            for argv in bounds_mb
+        }
+        for argv, proc in procs.items():
+            peak_mb = finish(proc)[1] / 1024
+            assert peak_mb < bounds_mb[argv], f"{argv} peaked at {peak_mb:.1f} MB of max RSS"
 
     # each group is written as it renders, so the traced peak stays flat as
     # --max-n grows: these runs write 6.6 MiB of CSV and 12.4 MiB of JSON

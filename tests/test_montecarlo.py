@@ -24,6 +24,7 @@ from mafia_odds.montecarlo import (
 )
 from mafia_odds.winchance import win_chance_recurrence
 
+from launcher import finish, launch
 from oracles import brute_force_win_chance
 
 STRICT = BoundaryRule.STRICT_MAJORITY
@@ -522,6 +523,28 @@ class TestSubBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20, peak
+
+    def test_chunk_memory_stays_flat_at_ten_thousand_players(self):
+        # one 65,536-trial chunk at (10000, 60) in a fresh small process,
+        # since pytest's high-water mark would hide any growth; numpy and its
+        # lazily loaded random module come first, so max RSS grows by the
+        # chunk's own buffers only (about 5.6 MB; a whole-chunk sub-block of
+        # 2**21 uniforms grew it by 24.5 MB). The wins pin the chunk's 79
+        # level groups, whose blocks end ragged, past the goldens' n <= 1003
+        code = (
+            "import resource\n"
+            "import numpy.random\n"
+            "from mafia_odds import montecarlo\n"
+            "from mafia_odds.core import BoundaryRule\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "report = montecarlo.estimate_win_chance(\n"
+            "    10000, 60, BoundaryRule.STRICT_MAJORITY, montecarlo.CHUNK_TRIALS, 0, threads=1\n"
+            ")\n"
+            "print(report.mafia_wins, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        wins, growth_kib = map(int, finish(launch("-c", code))[0].split())
+        assert wins == 29514
+        assert growth_kib / 1024 < 12, f"max RSS grew by {growth_kib / 1024:.1f} MB"
 
 
 def _raise_on_pool(*args, **kwargs):

@@ -25,6 +25,7 @@ from mafia_odds.winchance import (
     win_chance_single,
 )
 
+from launcher import finish, launch
 from oracles import brute_force_win_chance, double_factorial_rows
 
 STRICT = BoundaryRule.STRICT_MAJORITY
@@ -514,6 +515,29 @@ class TestMonotonicity:
                 expected.append(("w(n+1,m) > w(n,m), n even", GameState(n, m)))
         assert len(expected) == 495
         assert verify_monotonicity(60, TIES).violations == expected
+
+    def test_a_deep_sweep_under_both_rules(self):
+        # every state to n_max = 400, past criterion 05's strict n <= 50: the
+        # strict report is empty, and under ties only the two families known
+        # to fail there appear, (d) at even n and (c) at m = n/2
+        assert verify_monotonicity(400, STRICT).violations == []
+        for label, (n, m) in verify_monotonicity(400, TIES).violations:
+            assert (label == "w(n+1,m) > w(n,m), n even" and n % 2 == 0) or (
+                label == "w(n+2,m+1) > w(n,m)" and 2 * m == n
+            ), (label, n, m)
+
+    def test_the_sweep_keeps_five_rows(self):
+        # in a fresh small process, since pytest's high-water mark would hide
+        # any growth: holding every row grew max RSS by 21 MB
+        code = (
+            "import resource\n"
+            "from mafia_odds.winchance import verify_monotonicity\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert verify_monotonicity(800).ok\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        growth_mb = int(finish(launch("-c", code))[0]) / 1024
+        assert growth_mb < 5, f"max RSS grew by {growth_mb:.1f} MB"
 
     def test_the_ninth_player_helps_the_lone_mafioso(self):
         assert win_chance_recurrence(9, 1) > win_chance_recurrence(8, 1)
