@@ -22,14 +22,13 @@ failure in the first group, leaves stdout and --output as they were, and a
 later failure leaves the groups already written.
 
 Exit codes: 0 success, 1 computation-domain error (e.g. an evolution time
-outside the validity window, refused as its path is made, a malformed
-MAFIA_ODDS_THREADS, an integer past float range where a float law needs it,
-an n whose products or rows pass sys.maxsize, or a failed allocation) or a
-failed write to stdout or to --output (silent when the reader of stdout has
-closed the pipe), 2 argument error, refused before anything is computed
-(including a non-finite --t-max, --method asymptotic or continuous with
---boundary ties, whose laws hold for the strict rule only, and an --output
-path that cannot be opened).
+outside the validity window, refused as its path is made, an integer past
+float range where a float law needs it, an n whose products or rows pass
+sys.maxsize, or a failed allocation) or a failed write to stdout or to
+--output (silent when the reader of stdout has closed the pipe), 2 argument
+error, refused before anything is computed (including a non-finite --t-max,
+--method asymptotic or continuous with --boundary ties, whose laws hold for
+the strict rule only, and an --output path that cannot be opened).
 """
 
 from __future__ import annotations

@@ -47,13 +47,12 @@ that transposes it; the day loop runs once per group.  A chunk's memory
 in a block, n//2 + 1 <= ``_BLOCK_VALUES``; past that a block is one row,
 and a chunk grows by about 9 bytes per player (4.6 MiB for 2 trials at
 n = 2**19).
-A call whose work (trials x draws) is below ``_PARALLEL_MIN_VALUES``
-uniforms runs in-process, because starting a worker pool costs more than
-it saves there.  Above it the pool has the fewest workers of four
-limits, each of which can only lower the count: the CPUs the process may
-run on, ``threads``, MAFIA_ODDS_THREADS and the chunk count.  numpy is
-imported on first use, so importing the package (and every exact CLI
-command, and every decided state) does not pay for it.
+:func:`_worker_count` runs a call whose work (trials x draws) is below
+``_PARALLEL_MIN_VALUES`` uniforms in-process, where a pool costs more than
+it saves.  Above it a pool, forked where the platform can, has the fewest
+workers of three limits: the CPUs the process may run on, ``threads`` and
+the chunk count.  numpy is imported on first use, so importing the package
+(and every exact CLI command, and every decided state) does not pay for it.
 The package never calls BLAS, so :func:`_numpy` imports numpy with
 OPENBLAS_NUM_THREADS=1 and restores the environment afterwards; a caller
 who imported numpy first, or set that variable, keeps their BLAS threads.
@@ -227,23 +226,20 @@ def _mafia_chunk(
     return counts
 
 
-def _worker_count(threads: int | None, chunks: int) -> int:
-    """The fewest of: CPUs, ``threads``, MAFIA_ODDS_THREADS and ``chunks``.
+def _worker_count(threads: int | None, chunks: int, values: int) -> int:
+    """Workers for ``chunks`` chunks of ``values`` uniforms in all; 1 runs in-process.
 
-    ``threads`` None or 0, and MAFIA_ODDS_THREADS empty, unset or 0, mean
-    one worker per CPU the process may run on.  A non-integer ``threads``
-    raises TypeError; a negative one, or a cap of anything but digits, ValueError.
+    Below ``_PARALLEL_MIN_VALUES`` uniforms a pool costs more than it saves.
+    Otherwise the count is the fewest of the CPUs the process may run on,
+    ``threads`` (None or 0 for every such CPU) and ``chunks``.
     """
-    if threads is not None:
-        check_count("threads", threads, 0)
-    cap = os.environ.get("MAFIA_ODDS_THREADS", "")
-    if cap and not cap.isdecimal():
-        raise ValueError(f"MAFIA_ODDS_THREADS must be a non-negative integer, got {cap!r}")
+    if values < _PARALLEL_MIN_VALUES:
+        return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, threads or cpus, int(cap or 0) or cpus, chunks))
+    return min(cpus, threads or cpus, chunks)
 
 
 def _count_mafia(
@@ -253,14 +249,15 @@ def _count_mafia(
 
     With m = 0 or no days, every trial ends at m and nothing is drawn, once
     the arguments have been checked.  Otherwise a row wider than sys.maxsize
-    draws is refused, and the chunks run in a worker pool only if
-    ``trials * draws`` uniforms pay for its start-up.
+    draws is refused, and the chunks run in-process or in a worker pool, as
+    :func:`_worker_count` says.
     """
     # operator.index raises TypeError for a non-integer, drawn state or not
     if not 0 <= operator.index(seed) < _MAX_SEED:
         raise ValueError(f"seed must be a 64-bit value, got {seed}")
     check_count("trials", trials, 1)
-    workers = _worker_count(threads, (trials - 1) // CHUNK_TRIALS + 1)
+    if threads is not None:
+        check_count("threads", threads, 0)
     if m == 0 or days == 0:
         return [0] * m + [trials]
     if draws > sys.maxsize:  # numpy cannot index a wider row
@@ -269,12 +266,14 @@ def _count_mafia(
         (seed, j, min(CHUNK_TRIALS, trials - start), n, m, days, draws)
         for j, start in enumerate(range(0, trials, CHUNK_TRIALS))
     ]
-    if workers == 1 or trials * draws < _PARALLEL_MIN_VALUES:
+    workers = _worker_count(threads, len(chunks), trials * draws)
+    if workers == 1:
         return sum(_mafia_chunk(*chunk) for chunk in chunks).tolist()
     import multiprocessing
 
-    _numpy()  # imported once here, forked workers inherit it
-    with multiprocessing.Pool(workers) as pool:
+    methods = multiprocessing.get_all_start_methods()
+    _numpy()  # imported once here, with one OpenBLAS thread; forked workers inherit it
+    with multiprocessing.get_context("fork" if "fork" in methods else None).Pool(workers) as pool:
         return sum(pool.starmap(_mafia_chunk, chunks)).tolist()
 
 
@@ -290,7 +289,7 @@ def estimate_win_chance(
 
     The report is a pure function of (n, m, boundary, trials, seed): the
     chunked stream construction in the module docstring makes the outcome
-    independent of ``threads`` and of the MAFIA_ODDS_THREADS cap.
+    independent of ``threads`` and of the CPUs the process may run on.
     """
     check_state(n, m)
     # a game the mafia has already won needs no lynch

@@ -444,25 +444,23 @@ class TestSimulateCommand:
     def test_bad_state_exits_2(self):
         assert run_cli("simulate", "-n", "2", "-m", "3").returncode == 2
 
-    def test_bad_thread_cap_exits_1(self):
-        env = dict(os.environ, MAFIA_ODDS_THREADS="-3")
-        proc = run_cli("simulate", "-n", "9", "-m", "1", "--trials", "10", env=env)
-        assert proc.returncode == 1
-        assert proc.stdout == b""
-        assert proc.stderr.decode().strip() == (
-            "mafia-odds: MAFIA_ODDS_THREADS must be a non-negative integer, got '-3'"
-        )
-
     def test_bad_seed_exits_2(self):
         proc = run_cli("simulate", "-n", "2", "-m", "1", "--seed", "-5")
         assert proc.returncode == 2
 
     # two full 65,536-trial chunks at n = 1000: enough work for a worker pool
-    # unless MAFIA_ODDS_THREADS caps the run to one process
+    # unless the process may run on one CPU only, as under `taskset -c 0`
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_pooled_report_matches_the_serial_one(self):
         argv = ("simulate", "-n", "1000", "-m", "15", "--trials", "131072", "--seed", "3")
-        serial = run_cli(*argv, env=dict(os.environ, MAFIA_ODDS_THREADS="1"))
-        pooled = run_cli(*argv, env={k: v for k, v in os.environ.items() if k != "MAFIA_ODDS_THREADS"})
+        one_cpu = {min(os.sched_getaffinity(0))}
+        serial = subprocess.run(
+            [sys.executable, "-m", "mafia_odds", *argv],
+            capture_output=True,
+            timeout=120,
+            preexec_fn=lambda: os.sched_setaffinity(0, one_cpu),
+        )
+        pooled = run_cli(*argv)
         assert serial.returncode == pooled.returncode == 0
         assert pooled.stdout == serial.stdout
 

@@ -136,24 +136,30 @@ class TestEstimateWinChance:
         forked = estimate_win_chance(9, 2, STRICT, 150_000, seed=42, threads=2)
         assert base == again == forked
 
-    def test_thread_cap_env_var_does_not_change_results(self, monkeypatch):
-        base = estimate_win_chance(9, 2, STRICT, 150_000, seed=9)
-        monkeypatch.setenv("MAFIA_ODDS_THREADS", "2")
-        assert estimate_win_chance(9, 2, STRICT, 150_000, seed=9) == base
-        monkeypatch.setenv("MAFIA_ODDS_THREADS", "0")
-        assert estimate_win_chance(9, 2, STRICT, 150_000, seed=9) == base
+    # the package reads no thread variable: a value it once refused is ignored,
+    # in the library and on the CLI's pooled run alike
+    def test_retired_thread_cap_changes_no_report_byte_or_exit_code(self, monkeypatch):
+        def reports():
+            return [
+                estimate_win_chance(9, 2, STRICT, 150_000, seed=9),
+                estimate_win_chance(9, 0, STRICT, 10, seed=9),
+                estimate_distribution(16, 3, 4, 1000, seed=11),
+                estimate_distribution(16, 3, 0, 1000, seed=11),
+            ]
 
-    def test_empty_thread_cap_counts_as_unset(self, monkeypatch):
-        base = estimate_win_chance(9, 2, STRICT, 150_000, seed=9, threads=1)
-        monkeypatch.setenv("MAFIA_ODDS_THREADS", "")
-        assert estimate_win_chance(9, 2, STRICT, 150_000, seed=9) == base
+        def simulate(env):
+            argv = ["simulate", "-n", "1000", "-m", "15", "--trials", "131072", "--seed", "3"]
+            proc = subprocess.run(
+                [sys.executable, "-m", "mafia_odds", *argv], capture_output=True, env=env, timeout=120
+            )
+            return proc.returncode, proc.stdout, proc.stderr
 
-    @pytest.mark.parametrize("value", ["abc", "-3", "1.5", " "])
-    def test_bad_thread_cap_is_refused_by_name(self, monkeypatch, value):
-        monkeypatch.setenv("MAFIA_ODDS_THREADS", value)
-        message = f"MAFIA_ODDS_THREADS must be a non-negative integer, got {value!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            estimate_win_chance(9, 2, STRICT, 10, seed=9)
+        unset = {k: v for k, v in os.environ.items() if k != "MAFIA_ODDS_THREADS"}
+        base, cli_base = reports(), simulate(unset)
+        monkeypatch.setenv("MAFIA_ODDS_THREADS", "two")
+        assert reports() == base
+        assert simulate(dict(unset, MAFIA_ODDS_THREADS="two")) == cli_base
+        assert cli_base[0] == 0 and cli_base[2] == b""
 
     def test_negative_threads_is_refused(self):
         message = "need threads >= 0, got threads=-3"
@@ -262,9 +268,7 @@ class TestDecidedStates:
     @pytest.mark.parametrize(
         "n,m,boundary", [(9, 0, STRICT), (9, 5, STRICT), (8, 4, TIES)]
     )
-    def test_decided_states_refuse_what_drawn_states_refuse(
-        self, monkeypatch, n, m, boundary
-    ):
+    def test_decided_states_refuse_what_drawn_states_refuse(self, n, m, boundary):
         with pytest.raises(ValueError, match="seed must be a 64-bit value"):
             estimate_win_chance(n, m, boundary, 10, seed=-1)
         with pytest.raises(ValueError, match="seed must be a 64-bit value"):
@@ -275,9 +279,6 @@ class TestDecidedStates:
             estimate_win_chance(n, m, boundary, 10, seed=0, threads=-1)
         with pytest.raises(ValueError, match="need threads >= 0"):
             estimate_distribution(n, m, 0, 10, seed=0, threads=-1)
-        monkeypatch.setenv("MAFIA_ODDS_THREADS", "two")
-        with pytest.raises(ValueError, match="MAFIA_ODDS_THREADS must be"):
-            estimate_win_chance(n, m, boundary, 10, seed=0)
 
     @pytest.mark.parametrize("m", [0, 2, 9])
     @pytest.mark.parametrize("value", [1.5, 2.0, "3"])
@@ -551,20 +552,27 @@ def _raise_on_pool(*args, **kwargs):
     raise AssertionError("a worker pool was started")
 
 
+# the context the package builds its pool from: fork, where the platform has it
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+)
+
+
 class TestWorkerPool:
     """Small calls stay in-process; a forced fan-out gives the serial report."""
 
     @pytest.fixture
     def pool_calls(self, monkeypatch):
         calls = []
-        real_pool = multiprocessing.Pool
+        real_pool = _CONTEXT.Pool
 
         def counting_pool(*args, **kwargs):
-            calls.append(args)
-            return real_pool(*args, **kwargs)
+            pool = real_pool(*args, **kwargs)
+            calls.append((args, pool._ctx.get_start_method()))
+            return pool
 
         monkeypatch.setattr(montecarlo, "_PARALLEL_MIN_VALUES", 0)
-        monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+        monkeypatch.setattr(_CONTEXT, "Pool", counting_pool)
         # two CPUs whatever the host has, so threads=2 asks for Pool(2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         return calls
@@ -572,17 +580,17 @@ class TestWorkerPool:
     def test_forced_fan_out_matches_serial_win_chance(self, pool_calls):
         serial = estimate_win_chance(9, 2, STRICT, 150_000, seed=42, threads=1)
         forked = estimate_win_chance(9, 2, STRICT, 150_000, seed=42, threads=2)
-        assert pool_calls == [(2,)]
+        assert pool_calls == [((2,), _CONTEXT.get_start_method())]
         assert forked == serial
 
     def test_forced_fan_out_matches_serial_distribution(self, pool_calls):
         serial = estimate_distribution(16, 3, 4, 100_000, seed=11, threads=1)
         forked = estimate_distribution(16, 3, 4, 100_000, seed=11, threads=2)
-        assert pool_calls == [(2,)]
+        assert pool_calls == [((2,), _CONTEXT.get_start_method())]
         assert forked == serial
 
     def test_small_default_call_starts_no_pool(self, monkeypatch):
-        monkeypatch.setattr(multiprocessing, "Pool", _raise_on_pool)
+        monkeypatch.setattr(_CONTEXT, "Pool", _raise_on_pool)
         report = estimate_win_chance(9, 2, STRICT, 150_000, seed=42)
         assert report == estimate_win_chance(9, 2, STRICT, 150_000, seed=42, threads=1)
         emp = estimate_distribution(16, 3, 4, 100_000, seed=11)
@@ -590,34 +598,32 @@ class TestWorkerPool:
 
     def test_auto_count_is_the_cpus_the_process_may_run_on(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.delenv("MAFIA_ODDS_THREADS", raising=False)
-        assert montecarlo._worker_count(None, 2) == 1
-        monkeypatch.setenv("MAFIA_ODDS_THREADS", "0")
-        assert montecarlo._worker_count(None, 2) == 1
+        assert montecarlo._worker_count(None, 2, montecarlo._PARALLEL_MIN_VALUES) == 1
+        serial = estimate_win_chance(9, 2, STRICT, 150_000, seed=42, threads=1)
+        monkeypatch.setattr(montecarlo, "_PARALLEL_MIN_VALUES", 0)
+        monkeypatch.setattr(_CONTEXT, "Pool", _raise_on_pool)
+        assert estimate_win_chance(9, 2, STRICT, 150_000, seed=42) == serial
 
     # each limit can only lower the count; none of these starts a process
     @pytest.mark.parametrize(
-        "cpus,cap,threads,chunks,expected",
+        "cpus,threads,chunks,below,expected",
         [
-            (2, None, 10**4, 15_259, 2),  # threads above the CPUs
-            (8, None, None, 3, 3),  # fewer chunks than CPUs
-            (2, "64", 8, 100, 2),  # a cap above the CPUs
-            (8, "3", 5, 100, 3),
-            (8, "0", 5, 100, 5),
-            (8, "", 0, 100, 8),
+            (2, 10**4, 15_259, False, 2),  # threads above the CPUs
+            (8, None, 3, False, 3),  # fewer chunks than CPUs
+            (2, 8, 100, False, 2),
+            (8, 5, 100, False, 5),
+            (8, 0, 100, False, 8),
+            (8, None, 100, True, 1),  # too few uniforms to pay for a pool
         ],
     )
     def test_worker_count_is_the_fewest_of_its_limits(
-        self, monkeypatch, cpus, cap, threads, chunks, expected
+        self, monkeypatch, cpus, threads, chunks, below, expected
     ):
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
         )
-        if cap is None:
-            monkeypatch.delenv("MAFIA_ODDS_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("MAFIA_ODDS_THREADS", cap)
-        assert montecarlo._worker_count(threads, chunks) == expected
+        values = montecarlo._PARALLEL_MIN_VALUES - below
+        assert montecarlo._worker_count(threads, chunks, values) == expected
 
     @pytest.mark.parametrize("count,expected", [(3, 3), (None, 1)])
     def test_worker_count_without_affinity_reads_the_cpu_count(
@@ -625,5 +631,4 @@ class TestWorkerPool:
     ):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        monkeypatch.delenv("MAFIA_ODDS_THREADS", raising=False)
-        assert montecarlo._worker_count(8, 100) == expected
+        assert montecarlo._worker_count(8, 100, montecarlo._PARALLEL_MIN_VALUES) == expected
