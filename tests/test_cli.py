@@ -444,6 +444,16 @@ class TestSimulateCommand:
     def test_bad_state_exits_2(self):
         assert run_cli("simulate", "-n", "2", "-m", "3").returncode == 2
 
+    # MAFIA_ODDS_THREADS is not read, so a value once refused with exit 1 runs as unset
+    def test_once_refused_thread_cap_is_ignored(self):
+        argv = ("simulate", "-n", "9", "-m", "1", "--trials", "10")
+        unset = {k: v for k, v in os.environ.items() if k != "MAFIA_ODDS_THREADS"}
+        base = run_cli(*argv, env=unset)
+        proc = run_cli(*argv, env=dict(unset, MAFIA_ODDS_THREADS="-3"))
+        assert proc.returncode == base.returncode == 0
+        assert proc.stderr == b""
+        assert proc.stdout == base.stdout != b""
+
     def test_bad_seed_exits_2(self):
         proc = run_cli("simulate", "-n", "2", "-m", "1", "--seed", "-5")
         assert proc.returncode == 2

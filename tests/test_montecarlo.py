@@ -136,8 +136,35 @@ class TestEstimateWinChance:
         forked = estimate_win_chance(9, 2, STRICT, 150_000, seed=42, threads=2)
         assert base == again == forked
 
-    # the package reads no thread variable: a value it once refused is ignored,
-    # in the library and on the CLI's pooled run alike
+    # MAFIA_ODDS_THREADS is not read: values it once honoured as a cap, an
+    # empty value and values it once refused all leave every report as it is
+    def test_thread_cap_env_var_does_not_change_results(self, monkeypatch):
+        base = estimate_win_chance(9, 2, STRICT, 150_000, seed=9)
+        monkeypatch.setenv("MAFIA_ODDS_THREADS", "2")
+        assert estimate_win_chance(9, 2, STRICT, 150_000, seed=9) == base
+        monkeypatch.setenv("MAFIA_ODDS_THREADS", "0")
+        assert estimate_win_chance(9, 2, STRICT, 150_000, seed=9) == base
+
+    def test_empty_thread_cap_counts_as_unset(self, monkeypatch):
+        base = estimate_win_chance(9, 2, STRICT, 150_000, seed=9, threads=1)
+        monkeypatch.setenv("MAFIA_ODDS_THREADS", "")
+        assert estimate_win_chance(9, 2, STRICT, 150_000, seed=9) == base
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "1.5", " "])
+    def test_once_refused_thread_cap_is_ignored(self, monkeypatch, value):
+        monkeypatch.delenv("MAFIA_ODDS_THREADS", raising=False)
+        base = [
+            estimate_win_chance(9, 2, STRICT, 10, seed=9),
+            estimate_win_chance(9, 0, STRICT, 10, seed=9),
+        ]
+        monkeypatch.setenv("MAFIA_ODDS_THREADS", value)
+        assert [
+            estimate_win_chance(9, 2, STRICT, 10, seed=9),
+            estimate_win_chance(9, 0, STRICT, 10, seed=9),
+        ] == base
+
+    # neither does a value it once refused sway a drawn or decided report, nor
+    # the CLI's pooled run: same exit code, stdout and stderr
     def test_retired_thread_cap_changes_no_report_byte_or_exit_code(self, monkeypatch):
         def reports():
             return [
