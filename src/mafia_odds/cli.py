@@ -65,7 +65,7 @@ def _groups(rows):
     return (tuple(map(list, zip(*batch))) for batch in iter(lambda: list(islice(rows, _GROUP)), []))
 
 
-def _emit(fmt: str, fields: tuple[str, ...], groups, width: int | None = None):
+def _emit(fmt: str, fields: tuple[str, ...], groups):
     """Yield a handler's records as pieces of text: JSON objects keyed by ``fields``, or CSV.
 
     ``groups`` is an iterable of groups, tuples aligned with ``fields`` whose
@@ -74,7 +74,7 @@ def _emit(fmt: str, fields: tuple[str, ...], groups, width: int | None = None):
     a one-record group.  A group is one %-template: a shared value is written
     into it once, a column is one typed code that the single % pass applies to
     each value.  A tuple or scalar that recurs, the same object, at its
-    position reuses its encoding.  CSV writes ``width`` fields.
+    position reuses its encoding.  A group's items past ``fields`` are not written.
     """
     column, single = _encoder(fmt), isinstance(groups, tuple)
     groups = [groups] if single else groups
@@ -87,8 +87,8 @@ def _emit(fmt: str, fields: tuple[str, ...], groups, width: int | None = None):
         comma, open_, close = ",\n", pad + "{\n", "\n" + pad + "}"
         lead, sep, end, empty = ("", ",\n", "\n", "{}\n") if single else ("[\n", ",\n", "\n]\n", "[]\n")
     else:
-        heads, comma, open_, close = [""] * len(fields[:width]), ",", "", ""
-        lead = empty = ",".join(fields[:width]) + "\n"
+        heads, comma, open_, close = [""] * len(fields), ",", "", ""
+        lead = empty = ",".join(fields) + "\n"
         sep = end = "\n"
     seen = [(object(),)] * len(heads)  # per position: last item, its part and column
     for group in groups:
@@ -191,7 +191,7 @@ def _table_groups(max_n: int, rule: str):
     for n, den, row in winchance.win_chance_rows(max_n, boundary):
         if n >= 1:
             # the cells below the first winning mafia count, then the ones equal to den: w = 1
-            last = min(boundary.first_win(n), n + 1)
+            last = boundary.first_win(n)
             yield n, list(range(last)), *_exact(row[:last], den)
             yield n, list(range(last, n + 1)), 1, 1, 1.0
 
@@ -241,7 +241,7 @@ def cmd_evolve(args: argparse.Namespace):
         groups.append(("continuous", kinds, t, ms, values, None, None) for t, values in rows)
     # CSV keeps the first five fields; the exact pair is JSON-only
     fields = ("mode", "kind", "t", "m", "value", "value_num", "value_den")
-    return fields, chain.from_iterable(groups), 5
+    return fields[:5] if args.format == "csv" else fields, chain.from_iterable(groups)
 
 
 def cmd_optimal(args: argparse.Namespace):

@@ -155,7 +155,7 @@ def log_double_factorial(k: int) -> float:
     return math.lgamma(2 * j + 2) - j * _LN2 - math.lgamma(j + 1)
 
 
-@lru_cache(maxsize=1024, typed=True)  # a float key never meets an int's entry
+@lru_cache(maxsize=16, typed=True)  # pm_closed's odd terms reuse (N, t, 1); 3 entries keep it
 def falling_product(N: int, t: int, i: int) -> Fraction:
     """Exact value of ``prod_{j=0}^{t-1} (N - 2j - i) / (N - 2j)``.
 
@@ -165,7 +165,7 @@ def falling_product(N: int, t: int, i: int) -> Fraction:
     factors cross zero for odd ``i`` the product carries the sign, so no
     extension of !! to negative arguments is ever required.  Numerator and
     denominator are integer products; one ``Fraction`` normalises them.
-    Integer counts only, with t, i >= 0 and 2t <= N, on every call, cached or not.
+    Integer counts only, with t, i >= 0 and 2t <= N, on every call (the cache is typed).
 
     For 1 < i < 2t the factors N - i ... N - 2t + 2 (N - 2t + 1 for odd i)
     appear on both sides and are >= 1, so they cancel: with p = i % 2, i

@@ -12,6 +12,7 @@ from mafia_odds.core import (
     falling_product,
     log_double_factorial,
 )
+from mafia_odds.winchance import win_chance_closed
 
 
 class TestDoubleFactorial:
@@ -82,8 +83,12 @@ class TestFallingProduct:
         with pytest.raises(ValueError):
             falling_product(4, 1, -1)
 
+    # 121 terms fill at most 16 entries, and each odd term past 1 still reuses (N, t, 1)
     def test_cache_is_bounded(self):
-        assert falling_product.cache_info().maxsize == 1024
+        falling_product.cache_clear()
+        win_chance_closed(1200, 120)
+        info = falling_product.cache_info()
+        assert info.currsize <= 16 and info.hits >= 59
 
     def test_negative_value_when_factors_cross_zero(self):
         # (4-3)/4 * (2-3)/2 = -1/8: odd i past the zero factor flips sign

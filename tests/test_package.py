@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import mafia_odds
 from mafia_odds import core, evolution, montecarlo, winchance
 
@@ -55,3 +58,13 @@ def test_the_package_exports_the_union_of_its_modules():
     # helpers outside the surface stay importable from their module
     assert callable(mafia_odds.core.check_state)
     assert mafia_odds.montecarlo.CHUNK_TRIALS == 1 << 16
+
+
+# the retired MAFIA_ODDS_THREADS is named nowhere in the package, and the one
+# environment variable it touches is OPENBLAS_NUM_THREADS, so no value can sway a run
+def test_the_package_reads_no_thread_cap_from_the_environment():
+    for path in Path(mafia_odds.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "MAFIA_ODDS_THREADS" not in text, path.name
+        uses = [line for line in text.splitlines() if re.search(r"\benviron\b|getenv|putenv", line)]
+        assert all("OPENBLAS_NUM_THREADS" in line for line in uses), (path.name, uses)
